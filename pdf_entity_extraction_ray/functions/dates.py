@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from collections.abc import Iterator
 
 _MONTHS_EN = {
     "january": 1, "february": 2, "march": 3, "april": 4, "may": 5, "june": 6,
@@ -58,6 +59,15 @@ DATE_RE = re.compile(
     r"|(?P<mo4>\d{1,2})/(?P<d4>\d{1,2})/(?P<y4>\d{4})" % {"m": _MONTH_ALT},
     re.IGNORECASE,
 )
+# every DATE_RE alternative contains a four-digit year, so a text without a
+# run of four digits has no match (checking that first skips the month-name
+# scan on most segments)
+_YEAR_RUN_RE = re.compile(r"\d{4}")
+
+
+def date_matches(text: str) -> Iterator[re.Match]:
+    """``DATE_RE.finditer(text)``, skipped on texts that cannot match."""
+    return DATE_RE.finditer(text) if _YEAR_RUN_RE.search(text) else iter(())
 
 
 def parse_date(text: str) -> _dt.date | None:

@@ -11,6 +11,8 @@ Functions and the reference rule each reproduces:
 * :func:`dedup_spans`         — M7 exact dedup via canonical JSON key,
   optional score-strip (src/methods/GLiNERModel.py:23-29,
   src/methods/MultipleEntityExtractor.py:19-22)
+* :func:`dedup_plain_spans`   — M7 for score-free four-key spans, keyed on a
+  tuple (same result as :func:`dedup_spans` on such spans)
 * :func:`remove_overlapping`  — M6 greedy overlap removal, sort by
   ``(start, -len(text))`` keep iff ``start >= last_end``
   (src/methods/GLiNERModel.py:31-43 and 7 other copies)
@@ -96,6 +98,19 @@ def dedup_spans(spans: list[Span], strip_score: bool = True) -> list[Span]:
     if strip_score:
         spans = [{k: v for k, v in d.items() if k != "score"} for d in spans]
     return list({json.dumps(d, sort_keys=True, default=str): d for d in spans}.values())
+
+
+def dedup_plain_spans(spans: list[Span]) -> list[Span]:
+    """M7 for spans carrying exactly the four span keys (str ``text`` /
+    ``entity_label``, int offsets, no ``score``): keyed on the tuple
+    ``(start_index, end_index, entity_label, text)``, first occurrence kept
+    in input order.  Two such spans have equal canonical JSON iff their
+    tuples are equal, so this returns what :func:`dedup_spans` returns
+    without serializing every span."""
+    seen: dict[tuple, Span] = {}
+    for s in spans:
+        seen.setdefault((s["start_index"], s["end_index"], s["entity_label"], s["text"]), s)
+    return list(seen.values())
 
 
 def remove_overlapping(

@@ -773,13 +773,18 @@ def canonical_url(urls: pa.ChunkedArray | pa.Array) -> pa.Array:
 
     # tracking-param strip, then sort surviving params within each url
     query = pc.replace_substring_regex(query, pattern=_TRACKING, replacement="")
-    query = pc.replace_substring_regex(query, pattern=r"[&]+$", replacement="")
     parts = pc.split_pattern(query, pattern="&")
     flat = pc.list_flatten(parts)
     n_per = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
     import numpy as np
 
     parent = np.repeat(np.arange(len(n_per), dtype=np.int64), n_per)
+    # drop empty params ("a=1&&b=2", leading/trailing "&", and what the
+    # tracking strip leaves) before the sort, so the join needs no cleanup
+    keep = pc.not_equal(flat, "")
+    flat = flat.filter(keep)
+    parent = parent[keep.to_numpy(zero_copy_only=False)]
+    n_per = np.bincount(parent, minlength=len(n_per))
     if len(flat):
         order_tbl = pa.table(
             {"parent": pa.array(parent, pa.int64()), "param": flat}
@@ -797,8 +802,6 @@ def canonical_url(urls: pa.ChunkedArray | pa.Array) -> pa.Array:
         pa.array(offsets, pa.int32()), sorted_flat
     )
     joined = pc.binary_join(sorted_lists, "&")
-    # drop empty params left by the tracking strip ("a=1&&b=2" cases)
-    joined = pc.replace_substring_regex(joined, pattern=r"^&+|&&+", replacement="")
     qmark = pc.if_else(
         pc.equal(joined, ""), pa.scalar("", pa.string()),
         pc.binary_join_element_wise(pa.scalar("?", pa.string()), joined, ""),

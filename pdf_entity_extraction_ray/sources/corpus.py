@@ -213,7 +213,8 @@ def split_observed_components(
     fully-unobserved families disappear.  Component ids are
     ``cluster_id * 64 + k`` with components ordered by smallest alias —
     deterministic, and collision-free because every emitted id is of the
-    same form with k < 64.  Each component's canonical is the engine's
+    same form with k < 64; a family that splits into more components
+    raises ``ValueError``.  Each component's canonical is the engine's
     most-complete-name representative over its observed aliases."""
     from ..stages.linking import representative, surfaces_match
 
@@ -237,6 +238,11 @@ def split_observed_components(
         comps: dict[int, list[str]] = {}
         for i, a in enumerate(obs):
             comps.setdefault(find(i), []).append(a)
+        if len(comps) > 64:
+            raise ValueError(
+                f"cluster {c.cluster_id} splits into {len(comps)} observed "
+                "components; component ids cluster_id * 64 + k need k < 64"
+            )
         for k, aliases in enumerate(sorted(comps.values(), key=lambda g: g[0])):
             out.append(
                 Cluster(

@@ -9,8 +9,8 @@ per-segment row is strictly cheaper than the naive two-phase layout
 projections of this artifact.
 
 Per-segment nesting also guarantees a segment's mentions can never split
-across batch boundaries (the correctness hazard the fused RelationExtractor
-avoided, stages/relations.py docstring).
+across batch boundaries, a hazard if triples were derived from the mentions
+table with row-based batching.
 """
 
 from __future__ import annotations
@@ -57,49 +57,24 @@ ANNOTATIONS_SCHEMA = pa.schema(
 )
 
 
-ENSEMBLE_SPLITS = (("PERSON", "DATE"), ("ORG", "LAW"), ("GPE",))
-
-
 class Annotator:
-    """Actor-pool stage: one tagging pass per segment -> nested row.
+    """Actor-pool stage: one ``GazetteerTagger`` pass per segment -> nested
+    row.
 
-    ``ensemble=True`` (default) mirrors the reference's headline extractor
-    — the 3-model ensemble (A6, src/methods/MultipleEntityExtractor.py:
-    14-17): the gazetteer splits by type into three member taggers, each
-    scanning the full segment (the reference runs three full models per
-    segment); the union passes the shared M7+M6 chain.  Emitted spans are
-    identical to the single-tagger path (members partition the type space).
+    Every segment is scanned once (M8 windows, DATE and open-vocab
+    families, M7 + M6).  The reference's multi-model ensemble (A6) lives in
+    :class:`stages.ensemble.EnsembleTagger` for real-model members; a
+    type-split gazetteer ensemble is NOT equivalent to this pass, because
+    each member's greedy M6 overlap removal can drop a span that one pass
+    keeps (pinned in tests/test_ensemble_json.py).
 
     When ``n_buckets`` is set, the url-hash ``bucket`` partition column is
     computed inline (a separate trivial map operator costs more in task
     overhead than its work, measured via ``ds.stats()``).
     """
 
-    def __init__(
-        self,
-        gazetteer: list[tuple[str, str]],
-        n_buckets: int = 0,
-        ensemble: bool = True,
-        extra_patterns: list[tuple[str, str]] | None = None,
-        **tagger_kwargs,
-    ):
-        if ensemble:
-            from .ensemble import EnsembleTagger
-
-            members = []
-            for types in ENSEMBLE_SPLITS:
-                sub = [(s, t) for s, t in gazetteer if t in types]
-                # an open-vocab pattern family goes to the member that owns
-                # its type, so its spans are emitted exactly once
-                pats = [(p, t) for p, t in (extra_patterns or []) if t in types]
-                members.append(
-                    ("gazetteer", {"gazetteer": sub, "extra_patterns": pats, **tagger_kwargs})
-                )
-            self.tagger = EnsembleTagger(members)
-        else:
-            self.tagger = GazetteerTagger(
-                gazetteer, extra_patterns=extra_patterns, **tagger_kwargs
-            )
+    def __init__(self, gazetteer: list[tuple[str, str]], n_buckets: int = 0, **tagger_kwargs):
+        self.tagger = GazetteerTagger(gazetteer, **tagger_kwargs)
         self.n_buckets = n_buckets
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -11,6 +11,11 @@ registered taggers: one actor holds ALL member taggers (loaded once in
 ``__init__`` — the reference's single-object choice, vs. 3 parallel stages
 + union which would change tie-breaking), and ``tag_segment`` is ordered
 concat -> dedup -> overlap removal.
+
+Splitting ONE tagger's vocabulary across members is not span-identical to
+running it once: greedy M6 is not compositional, so a member can keep a span
+that loses to another member's span in the union and thereby drop a third
+span that one pass would keep (pinned in tests/test_ensemble_json.py).
 """
 
 from __future__ import annotations

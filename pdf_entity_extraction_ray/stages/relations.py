@@ -14,13 +14,8 @@ to the regex sentence splitter's abbreviation failure mode (a surface form
 ending in "." — e.g. "Acme Holdings." — would split the sentence under M14,
 check_ner_sentence_number.py:6).
 
-:class:`RelationExtractor` is an actor-pool ``map_batches`` class FUSED with
-the tagger: it consumes SEGMENT rows and runs gazetteer tagging + pair
-matching in one pass, so a segment's mentions can never be split across
-batch boundaries (a correctness hazard if triples were derived from the
-mentions table with row-based batching).  The mentions Parquet artifact is
-produced by the separate tagger stage; the double regex pass is the price of
-streaming both outputs without a mid-pipeline materialization.
+:func:`triples_from_spans` is called on each segment's tagged spans by
+``stages/annotate.Annotator``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.dates import parse_date
-from .tagger import TITLE_CASED_TYPES, GazetteerTagger
+from .tagger import TITLE_CASED_TYPES
 
 # (subj_type, obj_type, phrase) -> predicate; phrases are matched against
 # the whitespace-stripped text between two consecutive mentions.
@@ -89,32 +84,3 @@ def triples_from_spans(seg_text: str, spans: list[dict]) -> list[dict]:
             }
         )
     return out
-
-
-class RelationExtractor:
-    """Actor-pool stage: segments -> triples (tagging fused in).
-
-    ``__init__`` builds the tagger once per actor (compiled gazetteer);
-    ``__call__`` handles one Arrow batch of segment rows.
-    """
-
-    def __init__(self, gazetteer: list[tuple[str, str]], **tagger_kwargs):
-        self.tagger = GazetteerTagger(gazetteer, **tagger_kwargs)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        seg_ids = batch.column("seg_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-
-        out: dict[str, list] = {name: [] for name in TRIPLES_SCHEMA.names}
-        for url, seg_id, text in zip(urls, seg_ids, texts):
-            spans = self.tagger.tag_segment(text)
-            for t in triples_from_spans(text, spans):
-                out["url"].append(url)
-                out["seg_id"].append(seg_id)
-                for key in ("subj", "subj_type", "pred", "obj", "obj_type",
-                            "obj_norm", "evidence_start", "evidence_end"):
-                    out[key].append(t[key])
-        return pa.table(
-            {name: pa.array(out[name], TRIPLES_SCHEMA.field(name).type) for name in TRIPLES_SCHEMA.names}
-        )

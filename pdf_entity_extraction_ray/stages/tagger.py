@@ -33,10 +33,10 @@ import re
 
 import pyarrow as pa
 
-from ..functions.dates import DATE_RE, is_parseable_date
+from ..functions.dates import date_matches, is_parseable_date
 from ..functions.spans import (
     bio_merge,
-    dedup_spans,
+    dedup_plain_spans,
     filter_types,
     remove_overlapping,
     sliding_windows,
@@ -141,7 +141,7 @@ class GazetteerTagger:
         else:
             spans = bio_merge(self._match_window(text, 0))
 
-        for m in DATE_RE.finditer(text):
+        for m in date_matches(text):
             if is_parseable_date(m.group(0)):  # M9
                 spans.append(
                     {
@@ -165,7 +165,7 @@ class GazetteerTagger:
 
         if self.allowed_types is not None:
             spans = filter_types(spans, self.allowed_types)
-        spans = dedup_spans(spans)           # M7 (windows overlap -> dupes)
+        spans = dedup_plain_spans(spans)     # M7 (windows overlap -> dupes)
         spans = remove_overlapping(spans)    # M6
         return spans
 

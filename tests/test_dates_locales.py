@@ -9,6 +9,7 @@ verdict gap 4).
 """
 
 import datetime as dt
+import re
 
 import pytest
 
@@ -59,6 +60,27 @@ def test_search_dates_spans_cover_full_locale_expression():
     for text, expected in CASES:
         got = search_dates(f"born {text} end")
         assert got and got[0][0] == text and got[0][1] == expected, text
+
+
+def test_year_run_prefilter_drops_no_match():
+    """``date_matches`` skips texts without four consecutive digits; it must
+    yield exactly DATE_RE's matches everywhere, including non-ASCII digits
+    (``\\d`` is Unicode in both patterns) and on generated corpus text."""
+    from pdf_entity_extraction_ray.functions.dates import DATE_RE, date_matches
+    from pdf_entity_extraction_ray.sources.corpus import cached_catalog, generate_page
+
+    texts = [f"born {t} end" for t, _ in CASES] + [
+        "٢٠٠٤-٠٥-١٧ and 17/05/२००४", "May 17, 204", "17 mai 20O4", "no digits", "",
+    ]
+    clusters = cached_catalog(42, 25)
+    for idx in range(200):
+        texts.extend(generate_page(idx, clusters, 42, tail_every=2).segments)
+    n_skipped = 0
+    for text in texts:
+        want = [(m.span(), m.group(0)) for m in DATE_RE.finditer(text)]
+        assert [(m.span(), m.group(0)) for m in date_matches(text)] == want, text
+        n_skipped += re.search(r"\d{4}", text) is None
+    assert n_skipped and any(DATE_RE.search(t) for t in texts)
 
 
 def test_non_dates_still_rejected():

@@ -52,6 +52,26 @@ class TestA6Ensemble:
         assert {s["entity_label"] for s in spans} == {"ORG", "GPE"}
 
 
+    def test_type_split_ensemble_is_not_one_pass(self):
+        """Greedy M6 overlap removal is not compositional: a member's M6
+        keeps ``cdef`` over ``fghi`` before the union's M6 drops ``cdef``
+        against ``abcd``, so the type-split ensemble loses ``fghi`` where
+        one pass over all families keeps it."""
+        from pdf_entity_extraction_ray.stages.tagger import GazetteerTagger
+
+        pats = [("abcd", "GPE"), ("cdef", "ORG"), ("fghi", "ORG")]
+        one = GazetteerTagger([], extra_patterns=pats).tag_segment("abcdefghij")
+        ens = EnsembleTagger(
+            [
+                ("gazetteer", {"gazetteer": [], "extra_patterns": [p for p in pats if p[1] in types]})
+                for types in (("PERSON", "DATE"), ("ORG", "LAW"), ("GPE",))
+            ]
+        )
+        split = ens.tag_segment("abcdefghij")
+        assert [(s["text"], s["entity_label"]) for s in one] == [("abcd", "GPE"), ("fghi", "ORG")]
+        assert [(s["text"], s["entity_label"]) for s in split] == [("abcd", "GPE")]
+
+
 class TestA9ConsolidatorHook:
     UNIVERSE = [("PERSON", "Ana Ruiz"), ("PERSON", "Ana B Ruiz"), ("PERSON", "Zoe Qin")]
     EDGES = [("PERSON", "Ana B Ruiz", "Ana Ruiz")]

@@ -86,6 +86,22 @@ class TestSplitObservedComponents:
         assert len(out) == 1
         assert sorted(out[0].aliases) == sorted(self.FAMILY[:2])
 
+    def test_more_than_64_components_raises(self):
+        """Component ids are cluster_id * 64 + k: a 65th component would
+        take the next family's first id, so it must fail loudly."""
+        from pdf_entity_extraction_ray.sources.corpus import (
+            split_observed_components,
+            tail_surfaces,
+        )
+
+        # distinct long-tail full forms share no word: no merge rule fires
+        aliases = [tail_surfaces(k)[0] for k in range(65)]
+        observed = {("ORG", a) for a in aliases}
+        out = split_observed_components([_cluster(2, "ORG", aliases[0], aliases[:64])], observed)
+        assert sorted(c.cluster_id for c in out) == list(range(2 * 64, 3 * 64))
+        with pytest.raises(ValueError, match="65 observed components"):
+            split_observed_components([_cluster(2, "ORG", aliases[0], aliases)], observed)
+
 
 # ---------------------------------------------------------------------------
 # q4_order_priority: the shuffle fallback must be live and equal the

@@ -122,6 +122,8 @@ class TestCanonicalUrl:
                 "http://h.test/p?",
                 "https://h.test",                     # empty path -> /
                 "http://h.test/CaseKept/Path",
+                "http://h.test/p?b=2&&a=1",           # empty params dropped,
+                "http://h.test/p?&z=1&&utm_id=7&&a=1&",  # never merged
             ]
         )
         assert canonical_url(urls).to_pylist() == [
@@ -133,6 +135,8 @@ class TestCanonicalUrl:
             "http://h.test/p",
             "https://h.test/",
             "http://h.test/CaseKept/Path",
+            "http://h.test/p?a=1&b=2",
+            "http://h.test/p?a=1&z=1",
         ]
 
     def test_url_dedup_first_seen_wins(self):

@@ -8,6 +8,7 @@ import datetime
 from pdf_entity_extraction_ray.functions.dates import parse_date, search_dates
 from pdf_entity_extraction_ray.functions.spans import (
     bio_merge,
+    dedup_plain_spans,
     dedup_spans,
     filter_types,
     find_all_occurrences,
@@ -81,6 +82,32 @@ def test_dedup_m7_strips_score_and_keeps_first():
     ]
     out = dedup_spans(spans)
     assert len(out) == 2 and "score" not in out[0]
+
+
+def test_tuple_dedup_equals_reference_on_window_duplicates():
+    """The tagger's tuple-keyed M7 returns exactly what the JSON-keyed
+    reference returns on the duplicates that M8 window overlap produces:
+    first occurrences, in their original order."""
+    from pdf_entity_extraction_ray.stages.tagger import GazetteerTagger
+
+    tagger = GazetteerTagger([("Acme Corp", "ORG"), ("Bogotá", "GPE"), ("Ana Ruiz", "PERSON")])
+    words = [f"w{i:02d}" for i in range(45)]
+    words[3:5] = ["Acme", "Corp"]     # window 0 only
+    words[12:14] = ["Ana", "Ruiz"]    # windows 0 and 1
+    words[15] = "Bogotá"              # windows 0 and 1
+    words[25:27] = ["Acme", "Corp"]   # windows 1 and 2
+    pieces = []
+    for window_text, base in sliding_windows(words, 20, 10):
+        pieces.extend(tagger._match_window(window_text, base))
+    spans = bio_merge(pieces)
+
+    keys = [(s["start_index"], s["end_index"], s["entity_label"], s["text"]) for s in spans]
+    first = [s for i, s in enumerate(spans) if keys[i] not in keys[:i]]
+    assert len(first) == 4 and len(spans) > len(first)  # duplicates present
+
+    out = dedup_plain_spans(spans)
+    assert out == dedup_spans(spans) == first
+    assert all(a is b for a, b in zip(out, first))  # the first objects, not copies
 
 
 def test_filter_types_m5():

@@ -69,19 +69,28 @@ def test_tail_only_on_scheduled_pages():
 
 
 def test_annotator_emits_tail_spans_once():
-    """Through the 3-member ensemble the pattern family must fire exactly
-    once per planted form (routed to the ORG member only)."""
+    """The pattern family must fire exactly once per planted form, both
+    through the single-pass Annotator and through a type-split ensemble
+    that routes the family to its type's member only."""
     from pdf_entity_extraction_ray.stages.annotate import Annotator
+    from pdf_entity_extraction_ray.stages.ensemble import EnsembleTagger
 
     full, alias = tail_surfaces(7)
     seg = f"Briefing filed by {full} under review. Analysts at {alias} responded."
-    ann = Annotator(
-        [("Acme Corp", "ORG")], ensemble=True,
-        extra_patterns=[(TAIL_PATTERN, TAIL_TYPE)],
+    gaz = [("Acme Corp", "ORG")]
+    pats = [(TAIL_PATTERN, TAIL_TYPE)]
+    ann = Annotator(gaz, extra_patterns=pats)
+    ens = EnsembleTagger(
+        [
+            ("gazetteer", {"gazetteer": [g for g in gaz if g[1] in types],
+                           "extra_patterns": [p for p in pats if p[1] in types]})
+            for types in (("PERSON", "DATE"), ("ORG", "LAW"), ("GPE",))
+        ]
     )
-    spans = [(s["text"], s["entity_label"]) for s in ann.tagger.tag_segment(seg)]
-    assert spans.count((full, "ORG")) == 1
-    assert spans.count((alias, "ORG")) == 1
+    for tagger in (ann.tagger, ens):
+        spans = [(s["text"], s["entity_label"]) for s in tagger.tag_segment(seg)]
+        assert spans.count((full, "ORG")) == 1
+        assert spans.count((alias, "ORG")) == 1
 
 
 @pytest.fixture(scope="module")
