@@ -6755,11 +6755,11 @@ def closeness_sampled(
     standard scale path since exact all-pairs closeness is O(V*E)).
 
     Sources are the ``n_sources`` lexicographically smallest canonicals
-    in the edge set — a deterministic, SQL-mirrorable rule.  Each source
-    runs the proven :func:`bfs_depths` BSP kernel (per-source static
-    state rebuild is the simplicity trade; a shared-static multi-source
-    variant is the optimization once sources grow past tens), results
-    union and settle in ONE (canonical) groupby.
+    in the edge set — a deterministic, SQL-mirrorable rule.  The BFS
+    static state (node id map + symmetrized edge shards) is built ONCE by
+    :func:`_bfs_static` and shared: each source is one :func:`_bfs_run`
+    BSP run over those immutable shards (the :func:`bfs_depths` kernel),
+    and the runs union and settle in ONE (canonical) groupby.
 
     Emits ``(canonical, n_sources_reached, sum_dist)``."""
     import numpy as np

@@ -2,8 +2,8 @@
 
 Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
 
-  P1 mentions : pages -> segments -> tagger actor pool -> mentions Parquet
-                (bucket-partitioned by hash(url))
+  P1 mentions : pages -> segments -> tagger -> mentions Parquet, one fused
+                Ray task per block (bucket-partitioned by hash(url))
   P2 triples  : pages -> segments -> relation extractor -> triples Parquet
   P3 linking  : mentions -> distinct surfaces -> LSH blocks -> pair test
                 -> union-find -> cluster map (driver artifact, broadcast)
@@ -29,6 +29,8 @@ inference.  Generalizes the reference's per-document skip-if-cached
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 
 import pyarrow as pa
@@ -106,6 +108,32 @@ def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
     marker inside the generation dir and as the downstream explode's
     staleness check."""
     return lineage.fingerprint({"fp": fp, "gen": gen_name, "files": files})
+
+
+@dataclasses.dataclass(frozen=True)
+class _StageSpec:
+    """Stage class + kwargs, hashed by (class, ``lineage.fingerprint(kwargs)``)."""
+
+    stage_cls: type
+    fp: str
+    kwargs: dict = dataclasses.field(compare=False, hash=False)
+
+
+@functools.lru_cache(maxsize=8)  # bounded like stages.graph._cached_cluster_map
+def _cached_stage(spec: _StageSpec):
+    """One stage per worker process per (class, config): warm workers are
+    reused across tasks and builds, so the load is paid once per process
+    and no actor starts or stops; a subclass gets its own instance."""
+    return spec.stage_cls(**spec.kwargs)
+
+
+def _stage_batch(batch: pa.Table, spec: _StageSpec, batch_size: int) -> pa.Table:
+    """Cached stage over one block, ``batch_size`` rows per call (Ray's
+    ``batch_size`` would bundle the fused task's input PAGES instead)."""
+    stage = _cached_stage(spec)
+    return pa.concat_tables(
+        [stage(batch.slice(i, batch_size)) for i in range(0, max(batch.num_rows, 1), batch_size)]
+    )
 
 
 def _run_partitioned_phase(
@@ -207,15 +235,15 @@ def _run_partitioned_phase(
             import ray
 
             if override_num_blocks is None:
-                # local block sizing: Ray defaults to ~200 blocks regardless
-                # of data size, which puts light stages in the
-                # task-overhead-bound regime; but THIS phase is the heavy
-                # one (~1.2 ms/page in the tagger), where finer tasks beat
-                # wave quantization across the actor pool (64 blocks on 30
-                # actors = 2.1 waves with straggler waste; measured 71.6s ->
-                # 60.7s at 6 blocks/CPU on 1M pages).  Light downstream
-                # reads use 2 blocks/CPU instead.
-                override_num_blocks = 6 * int(ray.cluster_resources().get("CPU", 16))
+                # one extract + tag task per block, and the bucket sort
+                # exchanges between every pair of blocks: 500 pages a block,
+                # at most 6 per CPU (71.6s -> 60.7s at 6/CPU on 1M pages); at
+                # 4 CPUs, 2,000 pages took 2.4s in 24 blocks, 1.4s in 4
+                import pyarrow.parquet as pq
+
+                n_pages = sum(pq.read_metadata(p).num_rows for p in paths)
+                cpus = int(ray.cluster_resources().get("CPU", 16))
+                override_num_blocks = max(1, min(6 * cpus, -(-n_pages // 500)))
             ds = ray.data.read_parquet(
                 paths,
                 columns=["url", "warc_ts", "html", "lang"],
@@ -228,14 +256,19 @@ def _run_partitioned_phase(
                     batch_format="pyarrow",
                 )
             ds = ds.map_batches(extract_segments_batch, batch_format="pyarrow")
+            # a task op (fuses with the extract), stage cached per process
+            kwargs = {**stage_kwargs, "n_buckets": n_buckets}
             ds = ds.map_batches(
-                stage_cls,
-                fn_constructor_kwargs={**stage_kwargs, "n_buckets": n_buckets},
+                _stage_batch,
+                fn_kwargs={
+                    "spec": _StageSpec(stage_cls, lineage.fingerprint(kwargs), kwargs),
+                    "batch_size": batch_size,
+                },
                 concurrency=concurrency,
-                batch_size=batch_size,
+                batch_size=None,
                 batch_format="pyarrow",
                 # execution-resource pass-through (e.g. num_gpus for a real
-                # transformer tagger pool) — never fingerprinted: resources
+                # transformer tagger) — never fingerprinted: resources
                 # change placement, not output
                 **(stage_ray_remote_args or {}),
             )
@@ -244,37 +277,11 @@ def _run_partitioned_phase(
             # (blocks x buckets tiny files — measured to poison EVERY
             # downstream read, even with override_num_blocks); with it the
             # file count is ~n_buckets and downstream explodes inherit the
-            # clustering (so they need no shuffle of their own).
-            #
-            # STRATEGY (measured, see BASELINE.md "bucket clustering A/B"):
-            # ``sort`` is a range shuffle on a low-cardinality int32 — the
-            # sample pass is metadata-cheap and the exchange moves each row
-            # once, same as a hash partition would.  Ray 2.49's key-hash
-            # ``repartition(keys=["bucket"])`` requires the experimental
-            # HASH_SHUFFLE strategy, which (a) measured 28x slower on a
-            # standalone 2M-row exchange (103s vs 3.7s) and (b) LIVELOCKS
-            # this pipeline outright at 8 and 32 CPUs (aggregator actors +
-            # the annotator actor pool + backpressured reads starve each
-            # other; 0 blocks flow for minutes — scripts/ab_bucket_cluster.py).
-            # Sort stays the default; GRAFT_BUCKET_CLUSTER=hash re-measures
-            # on future Ray versions.
-            if os.environ.get("GRAFT_BUCKET_CLUSTER", "sort") == "hash":
-                from ray.data.context import DataContext, ShuffleStrategy
-
-                # the plan executes under the context CAPTURED at dataset
-                # creation — flip the strategy there (and restore after, so
-                # the experimental path never leaks into later phases)
-                ctx = ds.context if hasattr(ds, "context") else DataContext.get_current()
-                prev_strategy = ctx.shuffle_strategy
-                ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-                try:
-                    ds.repartition(n_buckets, keys=["bucket"], sort=False).write_parquet(
-                        gen_dir, partition_cols=["bucket"]
-                    )
-                finally:
-                    ctx.shuffle_strategy = prev_strategy
-            else:
-                ds.sort("bucket").write_parquet(gen_dir, partition_cols=["bucket"])
+            # clustering (so they need no shuffle of their own).  A range
+            # sort on the low-cardinality int32 key, not a hash repartition:
+            # Ray's HASH_SHUFFLE measured 28x slower and livelocked this
+            # phase (BASELINE.md "Bucket clustering A/B").
+            ds.sort("bucket").write_parquet(gen_dir, partition_cols=["bucket"])
             lineage.mark_buckets_complete(gen_dir, gen_fp)
 
     generations[gen_name] = {"files": new_files, "tag": gen_fp}
@@ -380,7 +387,10 @@ def run_kg(
 
     ``gazetteer`` defaults to the synthetic catalog's (the deterministic
     stand-in for model weights — at real scale this argument is a model
-    name and the tagger stage loads it per actor).
+    name and the tagger stage loads it once per worker process).
+
+    ``concurrency`` caps the tagging tasks in flight (``None``: Ray Data's
+    default); ``tagger_ray_remote_args`` (e.g. ``num_gpus``) go to each.
 
     ``linking_mode``: ``"driver"`` closes connected components on the
     driver (exact, right up to ~10^7 distinct surfaces); ``"distributed"``
@@ -408,10 +418,6 @@ def run_kg(
 
     if gazetteer is None:
         gazetteer = catalog_gazetteer(cached_catalog(seed, n_per_type))
-    if concurrency is None:
-        # size the actor pool to the session: leave headroom for the
-        # upstream read/extract tasks so no stage starves the others
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
 
     os.makedirs(out_dir, exist_ok=True)
     base_fp = {
@@ -446,9 +452,7 @@ def run_kg(
     # The two datasets are independent -> submit from two driver threads so
     # their Ray executions overlap (halves this phase's fixed latency).
     # In-thread dataset construction is safe HERE because the module-top
-    # fsspec shim pre-imports the one lazy module that races; P4 still
-    # builds its plans on the main thread to also serialize DataContext
-    # capture for its strategy-flipping experiment path.
+    # fsspec shim pre-imports the one lazy module that races.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -19,6 +19,7 @@ import hashlib
 
 import pyarrow as pa
 
+from ..state.lineage import url_buckets
 from .relations import TRIPLES_SCHEMA, triples_from_spans
 from .tagger import MENTIONS_SCHEMA, TITLE_CASED_TYPES, GazetteerTagger
 
@@ -58,8 +59,9 @@ ANNOTATIONS_SCHEMA = pa.schema(
 
 
 class Annotator:
-    """Actor-pool stage: one ``GazetteerTagger`` pass per segment -> nested
-    row.
+    """Tagging stage: one ``GazetteerTagger`` pass per segment -> nested
+    row.  ``run_kg`` calls it in Ray tasks fused with the extract, one
+    instance per worker process (``pipelines.kg._cached_stage``).
 
     Every segment is scanned once (M8 windows, DATE and open-vocab
     families, M7 + M6).  The reference's multi-model ensemble (A6) lives in
@@ -114,8 +116,6 @@ class Annotator:
             {n: pa.array(out[n], ANNOTATIONS_SCHEMA.field(n).type) for n in ANNOTATIONS_SCHEMA.names}
         )
         if self.n_buckets:
-            from ..state.lineage import url_buckets
-
             tbl = tbl.append_column(
                 "bucket",
                 pa.array(url_buckets(tbl.column("url"), self.n_buckets), pa.int32()),

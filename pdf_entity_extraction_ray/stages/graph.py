@@ -397,11 +397,6 @@ def build_edges_from_canonical(canonical_ds):
     return agg.map_batches(_edge_finalize_batch, batch_format="pyarrow")
 
 
-def build_edges(triples_ds, cluster_map_ref):
-    """Back-compat: raw triples -> canonical rewrite -> edges."""
-    return build_edges_from_canonical(canonical_triples(triples_ds, cluster_map_ref))
-
-
 # --------------------------------------------------------------------------
 # join-based rewrites (the 10^8+-distinct-surface P4: the surface map is a
 # DATASET side of a hash-shuffle join, never broadcast)

@@ -1,11 +1,12 @@
-"""Stage 2: mention detection + entity typing (actor-pool map_batches).
+"""Stage 2: mention detection + entity typing.
 
 The Ray-native re-expression of the reference's extractor zoo
-(HF pipelines / Flair / spaCy / GLiNER actors, SURVEY §2.3 A1-A6): a
-callable CLASS whose ``__init__`` does the load-expensive setup ONCE PER
-ACTOR (here: compiling the gazetteer automaton and date patterns — the
-deterministic stand-in for model loading) and whose ``__call__`` processes
-one Arrow batch.  Use as::
+(HF pipelines / Flair / spaCy / GLiNER, SURVEY §2.3 A1-A6): a callable
+CLASS whose ``__init__`` does the load-expensive setup once (here:
+compiling the gazetteer automaton and date patterns — the deterministic
+stand-in for model loading) and whose ``__call__`` processes one Arrow
+batch.  ``run_kg`` runs it (via ``stages.annotate.Annotator``) in Ray tasks,
+once per worker process (``pipelines.kg._cached_stage``); as an actor pool::
 
     ds.map_batches(GazetteerTagger, fn_constructor_kwargs={...},
                    concurrency=N, batch_size=B, batch_format="pyarrow")
@@ -19,11 +20,10 @@ semantics, in reference order (src/methods/GLiNERModel.py:45-95):
   -> date-parseability filter (M9) for DATE spans
   -> M13 title-casing of PERSON/ORG/GPE surfaces for accumulation
 
-The gazetteer is the small broadcast side: built once from the entity
-catalog, shipped to each actor via ``fn_constructor_kwargs`` (Ray serializes
-constructor args once per actor, not per batch).  At real scale this class
-is where a GPU NER model would live; the plumbing (schema, batching,
-concurrency) is identical.
+The gazetteer is the small broadcast side, shipped with the stage's
+config.  At real scale this class is where a GPU NER model would live; the
+plumbing (schema, batching, ``num_gpus`` via ``tagger_ray_remote_args``)
+is identical.
 """
 
 from __future__ import annotations

