@@ -7,8 +7,8 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
   P2 triples  : pages -> segments -> relation extractor -> triples Parquet
   P3 linking  : mentions -> distinct surfaces -> LSH blocks -> pair test
                 -> union-find -> cluster map (driver artifact, broadcast)
-  P4 graph    : mentions + cluster map -> nodes Parquet
-                triples  + cluster map -> edges Parquet (+ canonical triples)
+  P4 graph    : mentions + cluster map -> nodes Parquet, concurrently with
+                triples  + cluster map -> canonical triples -> edges Parquet
 
 The reference's equivalent lifecycle is E2 -> E3 of SURVEY §3
 (run.py:14-27 then check_performance.py:32-91) with in-memory state and
@@ -628,10 +628,12 @@ def run_kg(
             lineage.invalidate(out_dir, "graph")
             for d in (nodes_dir, edges_dir, canon_dir):
                 shutil.rmtree(d, ignore_errors=True)
-            # nodes and the canonical-triples rewrite are independent ->
-            # overlap them (plans built on the main thread: dataset
-            # construction is not thread-safe, fsspec lazy imports race)
+            # edges read only the canonical table, so nodes run on one
+            # driver thread and canonical-write -> edges on the other
+            # (in-thread dataset construction is safe: see the P2 note)
             from concurrent.futures import ThreadPoolExecutor
+
+            from ..stages.graph import build_edges_from_canonical
 
             nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
             mentions_read = ray.data.read_parquet(
@@ -646,33 +648,32 @@ def run_kg(
                 def sm_read():
                     return ray.data.read_parquet(surface_map_dir)
 
-                plans = [
-                    (build_nodes_join(mentions_read, sm_read()), nodes_dir),
-                    (canonical_triples_join(triples_read, sm_read()), canon_dir),
-                ]
+                nodes_ds = build_nodes_join(mentions_read, sm_read())
+                canon_ds = canonical_triples_join(triples_read, sm_read())
             else:
-                plans = [
-                    (build_nodes(mentions_read, cluster_map_ref), nodes_dir),
-                    (canonical_triples(triples_read, cluster_map_ref), canon_dir),
-                ]
+                nodes_ds = build_nodes(mentions_read, cluster_map_ref)
+                canon_ds = canonical_triples(triples_read, cluster_map_ref)
+
+            def canonical_then_edges():
+                canon_ds.write_parquet(canon_dir)
+                build_edges_from_canonical(
+                    ray.data.read_parquet(
+                        canon_dir,
+                        columns=[
+                            "src_id", "pred", "dst_id",
+                            "subj_canonical", "obj_canonical", "url",
+                        ],
+                        override_num_blocks=nblocks,
+                    )
+                ).write_parquet(edges_dir)
+
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(ds.write_parquet, path) for ds, path in plans]
+                futures = [
+                    pool.submit(nodes_ds.write_parquet, nodes_dir),
+                    pool.submit(canonical_then_edges),
+                ]
                 for f in futures:
                     f.result()
-            # edges derive from the canonical table (node ids already
-            # resolved there) — no second broadcast-map pass over triples
-            from ..stages.graph import build_edges_from_canonical
-
-            build_edges_from_canonical(
-                ray.data.read_parquet(
-                    canon_dir,
-                    columns=[
-                        "src_id", "pred", "dst_id",
-                        "subj_canonical", "obj_canonical", "url",
-                    ],
-                    override_num_blocks=nblocks,
-                )
-            ).write_parquet(edges_dir)
     if recomputed_graph:
         import pyarrow.dataset as pads
 

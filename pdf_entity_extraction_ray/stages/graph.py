@@ -12,20 +12,25 @@ the map is the small side by construction (distinct linked surfaces).
 Hot paths are vectorized: per-batch combining uses Arrow ``group_by``
 (C++), so the Python dict-resolution loop runs over DISTINCT keys per
 batch, never raw rows; the canonical rewrite maps whole columns through
-pandas ``Series.map``.  Aggregations are two-stage (per-batch partial
-combine, then a small ``groupby`` reduce) so shuffles move one row per
-group per block — the head-entity-skew treatment from SURVEY §4.
+Arrow ``index_in`` + ``take``.  Nodes and edges are aggregated with the
+part-keyed reduce shared with linking (``stages/linking.part_keyed_reduce``):
+a per-block partial combine, a small-int ``part`` column hashed from the
+group key, then one vectorized merge per part — shuffles move one row per
+group per block and sort only the part key (the head-entity-skew treatment
+from SURVEY §4).  Edges hash on ``src_id ^ dst_id`` so a hub entity's
+edges spread over its neighbours' parts instead of piling onto one.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.dates import parse_date
-from .linking import LINKED_TYPES, node_id_of
+from .linking import LINKED_TYPES, _join_parts, node_id_of, part_keyed_reduce
 
 # urls/aliases per node are capped in the materialized table (a country
 # appearing on 10^9 pages must not produce a 10^9-element list cell)
@@ -42,6 +47,18 @@ NODES_SCHEMA = pa.schema(
         ("n_mentions", pa.int64()),
         ("n_urls", pa.int64()),
         ("urls_sample", pa.list_(pa.string())),
+    ]
+)
+
+# per-block node partials: the rows the node merge shuffles
+PARTIAL_NODES_SCHEMA = pa.schema(
+    [
+        ("node_id", pa.int64()),
+        ("canonical", pa.string()),
+        ("type", pa.string()),
+        ("aliases", pa.list_(pa.string())),
+        ("n_mentions", pa.int64()),
+        ("urls", pa.list_(pa.string())),
     ]
 )
 
@@ -96,17 +113,18 @@ def _acc_update(acc: dict, nid: int, canon: str, typ: str, surface: str, n, url_
 
 
 def _acc_to_table(acc: dict) -> pa.Table:
-    """Per-node acc -> partial-rows table (the shared pre-shard schema of
-    both the broadcast and the join node builders)."""
+    """Per-node acc -> PARTIAL_NODES_SCHEMA rows (shared by the broadcast
+    and the join node builders)."""
     return pa.table(
         {
-            "node_id": pa.array(list(acc), pa.int64()),
-            "canonical": pa.array([a["canonical"] for a in acc.values()], pa.string()),
-            "type": pa.array([a["type"] for a in acc.values()], pa.string()),
-            "aliases": pa.array([sorted(a["aliases"]) for a in acc.values()], pa.list_(pa.string())),
-            "n_mentions": pa.array([a["n"] for a in acc.values()], pa.int64()),
-            "urls": pa.array([sorted(a["urls"]) for a in acc.values()], pa.list_(pa.string())),
-        }
+            "node_id": list(acc),
+            "canonical": [a["canonical"] for a in acc.values()],
+            "type": [a["type"] for a in acc.values()],
+            "aliases": [sorted(a["aliases"]) for a in acc.values()],
+            "n_mentions": [a["n"] for a in acc.values()],
+            "urls": [sorted(a["urls"]) for a in acc.values()],
+        },
+        schema=PARTIAL_NODES_SCHEMA,
     )
 
 
@@ -143,21 +161,11 @@ def node_partials_batch(batch: pa.Table, cluster_map: dict) -> pa.Table:
     return _acc_to_table(acc)
 
 
-# coarse shard count for the final node merge: ``map_groups`` pays a
-# Python call + table construction PER GROUP, which at one-group-per-node
-# (every distinct DATE is a node) dominated the graph phase; sharding by
-# a bitmask keeps same-node rows co-located while batching ~n_nodes/256
-# merges per call.  Scale by raising shards with the cluster — MUST stay a
-# power of two (the shard is ``node_id & (NODE_SHARDS - 1)``; a
-# non-power-of-two silently collapses to the next-lower power with a
-# skewed distribution).
-NODE_SHARDS = 256
-assert NODE_SHARDS & (NODE_SHARDS - 1) == 0, "NODE_SHARDS must be a power of two"
-
-
 def node_shard_merge(group: pa.Table) -> pa.Table:
-    """Reduce one SHARD of partial node rows -> NODES_SCHEMA rows (one per
-    node_id in the shard, sorted by node_id — deterministic).
+    """Reduce one part of partial node rows -> NODES_SCHEMA rows (one per
+    node_id in the part, sorted by node_id — deterministic).  A part holds
+    ~n_nodes/parts nodes, so the Python merge runs once per part, never
+    once per node (every distinct DATE is a node).
 
     The per-node url union is capped at MAX_URLS_PER_NODE + 1 as it
     accumulates (keep the lexicographically smallest; min-k is
@@ -217,22 +225,17 @@ def _cached_cluster_map(cluster_map_ref) -> dict:
     return ray.get(cluster_map_ref)
 
 
-def _shard_merge_nodes(partials_ds):
-    """Partial node rows -> NODES_SCHEMA via the coarse shard groupby (the
-    shared tail of :func:`build_nodes` and :func:`build_nodes_join`)."""
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node_id" not in batch.column_names:
-            return batch
-        shard = pc.bit_wise_and(batch.column("node_id"), pa.scalar(NODE_SHARDS - 1))
-        return batch.append_column("shard", shard.cast(pa.int32()))
-
-    return (
-        partials_ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(
-            lambda g: node_shard_merge(g.drop_columns(["shard"])), batch_format="pyarrow"
-        )
+def _shard_merge_nodes(ds, partial):
+    """``partial`` per block, then merge the node rows part-keyed on
+    ``node_id`` (the shared tail of :func:`build_nodes` and
+    :func:`build_nodes_join`)."""
+    return part_keyed_reduce(
+        ds,
+        partial,
+        lambda rows: rows.column("node_id"),
+        node_shard_merge,
+        PARTIAL_NODES_SCHEMA,
+        NODES_SCHEMA,
     )
 
 
@@ -243,7 +246,7 @@ def build_nodes(mentions_ds, cluster_map_ref):
     def partial(batch: pa.Table) -> pa.Table:
         return node_partials_batch(batch, _cached_cluster_map(cluster_map_ref))
 
-    return _shard_merge_nodes(mentions_ds.map_batches(partial, batch_format="pyarrow"))
+    return _shard_merge_nodes(mentions_ds, partial)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +266,6 @@ def canonical_triples(triples_ds, cluster_map_ref):
     pandas version needed a dict loop — ``Series.map`` coerces to float64
     on any miss, rounding 63-bit content ids).  Only misses (DATE objects
     + unresolved singletons) take the per-row ``resolve`` path."""
-    import numpy as np
 
     def rewrite(batch: pa.Table) -> pa.Table:
         keys_arr, canon_arr, ids_arr = _arrow_maps(cluster_map_ref)
@@ -340,6 +342,19 @@ def _arrow_maps(cluster_map_ref):
 # edges (from the canonical table — ids already resolved)
 
 
+EDGE_PARTIALS_SCHEMA = pa.schema(
+    [
+        ("src_id", pa.int64()),
+        ("pred", pa.string()),
+        ("dst_id", pa.int64()),
+        ("src_canonical", pa.string()),
+        ("dst_canonical", pa.string()),
+        ("weight", pa.int64()),
+        ("url_sample", pa.string()),
+    ]
+)
+
+
 def edge_partials_batch(batch: pa.Table) -> pa.Table:
     """canonical-triples batch -> partial per-(src, pred, dst) aggregates
     (pure Arrow group_by; no dict lookups needed)."""
@@ -359,42 +374,50 @@ def edge_partials_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _edge_finalize_batch(batch: pa.Table) -> pa.Table:
-    """Rename aggregate columns to EDGES_SCHEMA and wrap the sampled url."""
+def _edge_merge_part(rows: pa.Table) -> pa.Table:
+    """One part of edge partials -> EDGES_SCHEMA rows: per (src, pred, dst)
+    the summed weight and the smallest canonicals and url, in one Arrow
+    ``group_by``."""
+    g = rows.group_by(["src_id", "pred", "dst_id"]).aggregate(
+        [
+            ("weight", "sum"),
+            ("src_canonical", "min"),
+            ("dst_canonical", "min"),
+            ("url_sample", "min"),
+        ]
+    )
+    urls = g.column("url_sample_min").combine_chunks()
+    offsets = pa.array(np.arange(len(urls) + 1, dtype=np.int32))
     return pa.table(
-        {
-            "src_id": batch.column("src_id"),
-            "src_canonical": batch.column("src_canonical"),
-            "pred": batch.column("pred"),
-            "dst_id": batch.column("dst_id"),
-            "dst_canonical": batch.column("dst_canonical"),
-            "weight": batch.column("weight"),
-            "urls_sample": pa.array(
-                [[u] for u in batch.column("url_sample").to_pylist()], pa.list_(pa.string())
-            ),
-        }
+        [
+            g.column("src_id"),
+            g.column("src_canonical_min"),
+            g.column("pred"),
+            g.column("dst_id"),
+            g.column("dst_canonical_min"),
+            g.column("weight_sum"),
+            pa.ListArray.from_arrays(offsets, urls),
+        ],
+        schema=EDGES_SCHEMA,
     )
 
 
 def build_edges_from_canonical(canonical_ds):
     """canonical-triples Dataset -> edges Dataset.
 
-    Final reduce uses Ray's built-in vectorized aggregates (Sum/Min), NOT
-    ``map_groups``: with tens of thousands of edge groups, per-group Python
-    invocation dominates wall time (measured 28s of a 300k-page run)."""
-    from ray.data.aggregate import Min, Sum
-
-    agg = (
-        canonical_ds.map_batches(edge_partials_batch, batch_format="pyarrow")
-        .groupby(["src_id", "pred", "dst_id"])
-        .aggregate(
-            Sum("weight", alias_name="weight"),
-            Min("src_canonical", alias_name="src_canonical"),
-            Min("dst_canonical", alias_name="dst_canonical"),
-            Min("url_sample", alias_name="url_sample"),
-        )
+    Part-keyed on ``src_id ^ dst_id`` (both endpoints, so a hub entity's
+    edges spread over many parts): Arrow ``group_by`` partials per block,
+    then one Arrow ``group_by`` per part — no per-group Python call (with
+    tens of thousands of edge groups that measured 28 s of a 300k-page
+    run) and no sort on the three group keys."""
+    return part_keyed_reduce(
+        canonical_ds,
+        edge_partials_batch,
+        lambda rows: pc.bit_wise_xor(rows.column("src_id"), rows.column("dst_id")),
+        _edge_merge_part,
+        EDGE_PARTIALS_SCHEMA,
+        EDGES_SCHEMA,
     )
-    return agg.map_batches(_edge_finalize_batch, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -406,15 +429,6 @@ def _sm_renamed(surface_map_ds, type_col: str, surface_col: str, id_col: str, ca
     return surface_map_ds.select_columns(["type", "surface", "node_id", "canonical"]).rename_columns(
         {"type": type_col, "surface": surface_col, "node_id": id_col, "canonical": canon_col}
     )
-
-
-def _join_parts() -> int:
-    """Join partition count — delegates to the ONE definition in
-    ops/dedup (measured local-session cap rationale lives there); pass
-    ``num_partitions`` explicitly on a real cluster."""
-    from ..ops.dedup import _join_partitions
-
-    return _join_partitions()
 
 
 def canonical_triples_join(triples_ds, surface_map_ds, num_partitions: int | None = None):
@@ -511,8 +525,6 @@ def build_nodes_join(mentions_ds, surface_map_ds, num_partitions: int | None = N
         columns; misses = DATE / unresolved, filled via resolve).  Shares
         the acc fold/emit with :func:`node_partials_batch` — only the
         (node_id, canonical) source differs (join columns vs map)."""
-        if batch.num_rows == 0 or "type" not in batch.column_names:
-            return _acc_to_table({})
         g = batch.group_by(["type", "surface", "node_id", "canonical"]).aggregate(
             [("url", "count"), ("url", "min"), ("url", "max")]
         )
@@ -534,4 +546,4 @@ def build_nodes_join(mentions_ds, surface_map_ds, num_partitions: int | None = N
             _acc_update(acc, nid, canon, typ, surface, n, url_min, url_max)
         return _acc_to_table(acc)
 
-    return _shard_merge_nodes(joined.map_batches(partial, batch_format="pyarrow"))
+    return _shard_merge_nodes(joined, partial)

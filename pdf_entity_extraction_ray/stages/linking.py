@@ -5,11 +5,13 @@ src/ollama_entity_extraction/OllamaNERExtractor.py:122-184): the reference
 grows transitive similarity groups with an O(n^2) pairwise pass over ALL
 surface forms and consolidates each group with an LLM call.  Here:
 
-1. **distinct surfaces** — mentions are pre-aggregated per batch
-   (``map_batches`` partial count: the combiner) and then reduced with a
-   small ``groupby(["type","surface"]).sum()`` — the shuffle moves one row
-   per distinct (type, surface), not one per mention.  This is the G1
-   head-skew treatment: a surface mentioned 10^9 times still ships one row.
+1. **distinct surfaces** — each mentions block is pre-aggregated by an
+   Arrow ``group_by`` partial count (the combiner), hashed on
+   (type, surface) into a small-int ``part``, and each part is summed by
+   one more Arrow ``group_by`` (:func:`part_keyed_reduce`) — the shuffle
+   moves one row per distinct (type, surface) per block, not one per
+   mention, and sorts only the part key.  This is the G1 head-skew
+   treatment: a surface mentioned 10^9 times still ships one row.
 2. **blocking** — each distinct surface emits a handful of block keys
    (folded words, sorted-word key M20, MinHash-LSH bands over char shingles
    for typo recall).  Only pairs sharing a block are tested — the LSH
@@ -36,8 +38,11 @@ longest, then lexicographically smallest; never invents a surface.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import zlib
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -93,9 +98,6 @@ def partial_surface_counts(batch: pa.Table) -> pa.Table:
 
 # --------------------------------------------------------------------------
 # step 2: blocking keys
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=4)
@@ -259,33 +261,58 @@ def _coarse_parts() -> int:
     return 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
 
 
-def _add_block_part(batch: pa.Table, parts: int) -> pa.Table:
-    """Hash the block key into a coarse ``part`` column.
+def part_keyed_reduce(ds, combine, key, reduce, combined_schema, reduced_schema, parts=None):
+    """The shared shuffle of the KG stages: ``combine`` each block into
+    partial rows (typically one Arrow ``group_by``), tag every row with
+    ``part = key(rows) % parts``, group by the small-int ``part`` and call
+    ``reduce`` once per part on that part's rows (without ``part``).
 
-    The hash here is CORRECTNESS-critical ("blocks never split across
-    hash partitions"): every worker, retry, and environment must agree,
-    so it uses stdlib ``zlib.crc32`` — environment-independent, unlike
-    lineage.url_buckets' polars xxhash (documented stable only within one
-    polars version, with a differing blake2b fallback when polars is
-    absent; fine for its PHYSICAL cache clustering, not for this).
-    crc32 is C-speed (~GB/s); at 10^7 block rows the loop costs well
-    under a second per partition call."""
-    import zlib
+    Rows with equal ``key`` always meet in one ``reduce`` call, so ``key``
+    must be a function of the reduce's grouping columns, non-negative, and
+    equal in every worker process (crc32 or content-derived ids, never
+    ``hash()``).  Ray then sorts one int32 column instead of the group
+    keys — its sort ``Aggregate`` over (type, surface) took ~1 s per
+    execution on a few thousand rows — and ``reduce`` runs ~``parts``
+    times, not once per group.
 
-    if batch.num_rows == 0 or "block" not in batch.column_names:
-        return pa.table(
-            {
-                "block": pa.array([], pa.string()),
-                "type": pa.array([], pa.string()),
-                "surface": pa.array([], pa.string()),
-                "part": pa.array([], pa.int32()),
-            }
-        )
-    part = [
-        zlib.crc32(b.encode("utf-8")) % parts
-        for b in batch.column("block").to_pylist()
-    ]
-    return batch.append_column("part", pa.array(part, pa.int32()))
+    Empty blocks (an empty shuffle partition carries no schema) combine to
+    ``combined_schema``'s empty table and reduce to ``reduced_schema``'s."""
+    parts = parts or _coarse_parts()
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        rows = combine(batch) if batch.num_rows else combined_schema.empty_table()
+        part = np.asarray(key(rows), np.int64) % parts
+        return rows.append_column("part", pa.array(part.astype(np.int32), pa.int32()))
+
+    def reduce_part(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return reduced_schema.empty_table()
+        return reduce(group.drop_columns(["part"]))
+
+    return (
+        ds.map_batches(add_part, batch_format="pyarrow")
+        .groupby("part")
+        .map_groups(reduce_part, batch_format="pyarrow")
+    )
+
+
+def _crc32_keys(strings) -> list[int]:
+    """Part keys for string group keys.  The hash is CORRECTNESS-critical
+    (a group must never split across parts): every worker, retry, and
+    environment must agree, so it is stdlib ``zlib.crc32`` —
+    environment-independent, unlike lineage.url_buckets' polars xxhash
+    (documented stable only within one polars version, with a differing
+    blake2b fallback when polars is absent; fine for its PHYSICAL cache
+    clustering, not for this).  crc32 is C-speed; at 10^7 rows the loop
+    costs well under a second per call."""
+    return [zlib.crc32(s.encode("utf-8")) for s in strings]
+
+
+SURFACES_SCHEMA = pa.schema([("type", pa.string()), ("surface", pa.string()), ("n", pa.int64())])
+BLOCK_ROWS_SCHEMA = pa.schema(
+    [("block", pa.string()), ("type", pa.string()), ("surface", pa.string())]
+)
+PAIRS_SCHEMA = pa.schema([("type", pa.string()), ("a", pa.string()), ("b", pa.string())])
 
 
 def _block_pairs_partition(group: pa.Table) -> pa.Table:
@@ -300,17 +327,6 @@ def _block_pairs_partition(group: pa.Table) -> pa.Table:
     the Python loop runs only over multi-row blocks (the actual work).
     Same pairs, same MAX_BLOCK cap, same within-block ordering as
     :func:`block_pairs` (blocks never split across hash partitions)."""
-    import numpy as np
-
-    empty = pa.table(
-        {
-            "type": pa.array([], pa.string()),
-            "a": pa.array([], pa.string()),
-            "b": pa.array([], pa.string()),
-        }
-    )
-    if group.num_rows == 0 or "block" not in group.column_names:
-        return empty
     tbl = group.sort_by([("block", "ascending"), ("surface", "ascending")])
     codes = pc.dictionary_encode(tbl.column("block").combine_chunks()).indices
     idx = np.asarray(codes)
@@ -322,7 +338,7 @@ def _block_pairs_partition(group: pa.Table) -> pa.Table:
     # duplicate rows must neither self-pair nor inflate the cap)
     keep = sizes >= 2
     if not keep.any():
-        return empty
+        return PAIRS_SCHEMA.empty_table()
     surfaces = tbl.column("surface").to_pylist()
     types = tbl.column("type").to_pylist()
     out_t: list[str] = []
@@ -354,33 +370,32 @@ def candidate_pair_edges(distinct, parts: int | None = None):
     """Distinct-surface Dataset -> (type, a, b) candidate-pair edges via
     LSH/word blocking with coarse-partition vectorized pair generation.
     The shared edge stage of BOTH linking paths."""
-    parts = parts or _coarse_parts()
-    return (
-        distinct.map_batches(
-            block_keys_batch, batch_format="pyarrow"
-        )
-        .map_batches(
-            _add_block_part, fn_kwargs={"parts": parts}, batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(_block_pairs_partition, batch_format="pyarrow")
+    return part_keyed_reduce(
+        distinct,
+        block_keys_batch,
+        lambda rows: _crc32_keys(rows.column("block").to_pylist()),
+        _block_pairs_partition,
+        BLOCK_ROWS_SCHEMA,
+        PAIRS_SCHEMA,
+        parts,
     )
 
 
 def block_keys_batch(batch: pa.Table) -> pa.Table:
-    """Task-pool form of :class:`BlockKeyer` (process-cached hasher).
-
-    Empty shuffle partitions carry an EMPTY schema (Ray groupby quirk) —
-    guard before touching columns, like the universe loop does."""
-    if batch.num_rows == 0 or "type" not in batch.column_names:
-        return pa.table(
-            {
-                "block": pa.array([], pa.string()),
-                "type": pa.array([], pa.string()),
-                "surface": pa.array([], pa.string()),
-            }
-        )
+    """Task-pool form of :class:`BlockKeyer` (process-cached hasher)."""
     return BlockKeyer()(batch)
+
+
+def _surface_part_key(rows: pa.Table) -> list[int]:
+    keys = pc.binary_join_element_wise(rows.column("type"), rows.column("surface"), "\x00")
+    return _crc32_keys(keys.to_pylist())
+
+
+def _sum_surface_counts(rows: pa.Table) -> pa.Table:
+    g = rows.group_by(["type", "surface"]).aggregate([("n", "sum")])
+    return pa.table(
+        [g.column("type"), g.column("surface"), g.column("n_sum")], schema=SURFACES_SCHEMA
+    )
 
 
 def distinct_surfaces(mentions_ds):
@@ -388,17 +403,13 @@ def distinct_surfaces(mentions_ds):
     Dataset — the shared first shuffle of both linking paths (exposed so
     callers that need the distinct COUNT first, e.g. the pipeline's
     auto mode selection, compute it once and pass the result back in)."""
-    out = (
-        mentions_ds.map_batches(partial_surface_counts, batch_format="pyarrow")
-        .groupby(["type", "surface"])
-        .sum("n")
-    )
-    # Ray names the aggregate 'sum(n)'; restore the documented 'n'
-    return out.map_batches(
-        lambda b: b.rename_columns(
-            [c if c != "sum(n)" else "n" for c in b.column_names]
-        ),
-        batch_format="pyarrow",
+    return part_keyed_reduce(
+        mentions_ds,
+        partial_surface_counts,
+        _surface_part_key,
+        _sum_surface_counts,
+        SURFACES_SCHEMA,
+        SURFACES_SCHEMA,
     ).materialize()
 
 
@@ -444,12 +455,13 @@ def link_entities(mentions_ds, *, consolidate=None, distinct=None):
 
 
 def _join_parts() -> int:
-    """Join partition count, capped at 8 for LOCAL sessions: each
-    ``Dataset.join`` spins up ``num_partitions`` aggregator actors with
-    fixed startup cost, and 2/CPU oversubscribes one node (two chained
-    joins at 64 partitions wedged a 32-CPU box — see
-    ops/dedup._join_partitions).  On a real cluster pass
-    ``num_partitions`` explicitly to :func:`link_entities_distributed`."""
+    """Join partition count of the KG stages, capped at 8 for LOCAL
+    sessions: each ``Dataset.join`` spins up ``num_partitions`` aggregator
+    actors with fixed startup cost.  Measured at sf0.1 on 32 CPUs, 4-16
+    partitions all landed at ~5-7 s, while 64 (2/CPU) oversubscribed the
+    node: two chained joins spawned 128+ aggregators and wedged.  On a real
+    cluster pass ``num_partitions`` explicitly (e.g. to
+    :func:`link_entities_distributed`)."""
     import ray
 
     return min(8, max(4, int(ray.cluster_resources().get("CPU", 4)) // 2))
@@ -472,16 +484,19 @@ def _sym_edges_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+MEMBERS_SCHEMA = pa.schema([("node", pa.int64()), ("type", pa.string()), ("surface", pa.string())])
+LABELED_SCHEMA = MEMBERS_SCHEMA.append(pa.field("label", pa.int64()))
+
+
+def _min_member(rows: pa.Table) -> pa.Table:
+    g = rows.group_by("node").aggregate([("type", "min"), ("surface", "min")])
+    return pa.table(
+        [g.column("node"), g.column("type_min"), g.column("surface_min")], schema=MEMBERS_SCHEMA
+    )
+
+
 def _edge_member_rows(batch: pa.Table) -> pa.Table:
     """(type, a, b) edge batch -> (node, type, surface) rows for both ends."""
-    if batch.num_rows == 0 or "type" not in batch.column_names:
-        return pa.table(
-            {
-                "node": pa.array([], pa.int64()),
-                "type": pa.array([], pa.string()),
-                "surface": pa.array([], pa.string()),
-            }
-        )
     types = batch.column("type").to_pylist()
     surfaces = batch.column("a").to_pylist() + batch.column("b").to_pylist()
     types2 = types + types
@@ -496,8 +511,6 @@ def _edge_member_rows(batch: pa.Table) -> pa.Table:
 
 
 def _uv_arrays(tbl: pa.Table):
-    import numpy as np
-
     if tbl.num_rows == 0 or "u" not in tbl.column_names:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     u = tbl.column("u").combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
@@ -508,8 +521,6 @@ def _uv_arrays(tbl: pa.Table):
 def _lp_remotes():
     """BSP worker tasks for label propagation (built lazily so importing
     this module never touches Ray)."""
-    import numpy as np
-
     import ray
 
     @ray.remote
@@ -627,7 +638,6 @@ def components_from_int_edges(
     carry two int64 id columns; the ids ARE the node keys (no hashing), so
     each component's final label is its minimum member id — e.g. the
     kept document of a near-duplicate cluster."""
-    import numpy as np
 
     def sym(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or col_a not in batch.column_names:
@@ -798,10 +808,6 @@ def _cluster_assign_partition(group: pa.Table, consolidate=None) -> pa.Table:
     detected as vectorized run boundaries and only the representative
     choice runs in Python.  Output rows identical to per-label
     :func:`_cluster_assign` (labels never split across hash partitions)."""
-    import numpy as np
-
-    if group.num_rows == 0 or "label" not in group.column_names:
-        return _ASSIGN_SCHEMA.empty_table()
     tbl = group.sort_by([("label", "ascending"), ("surface", "ascending")])
     labels = tbl.column("label").combine_chunks().to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(np.r_[True, np.diff(labels) != 0])
@@ -884,8 +890,6 @@ def link_entities_distributed(
     ``num_partitions`` overrides the locally-capped join partition count
     on a real cluster.
     """
-    from ray.data.aggregate import Min
-
     n_part = num_partitions or _join_parts()
     if distinct is None:
         distinct = distinct_surfaces(mentions_ds)
@@ -906,37 +910,22 @@ def link_entities_distributed(
     edges = candidate_pair_edges(distinct).materialize()
 
     comp = label_propagation_components(edges)
-    members = (
-        edges.map_batches(_edge_member_rows, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("type", alias_name="type"), Min("surface", alias_name="surface"))
-    )  # (node, type, surface) dedup — node key determines both
-    def _label_part(batch: pa.Table, parts: int) -> pa.Table:
-        if batch.num_rows == 0 or "label" not in batch.column_names:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "type": pa.array([], pa.string()),
-                    "surface": pa.array([], pa.string()),
-                    "label": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int32()),
-                }
-            )
-        import numpy as np
-
-        lab = np.asarray(batch.column("label").to_numpy(zero_copy_only=False), np.int64)
-        return batch.append_column(
-            "part", pa.array((lab % parts).astype(np.int32), pa.int32())
-        )
-
-    parts = _coarse_parts()
-    clustered = (
-        members.join(comp, join_type="inner", num_partitions=n_part, on=("node",))
-        .map_batches(_label_part, fn_kwargs={"parts": parts}, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: _cluster_assign_partition(g, consolidate), batch_format="pyarrow"
-        )
+    # (node, type, surface) dedup — the node key determines both
+    members = part_keyed_reduce(
+        edges,
+        _edge_member_rows,
+        lambda rows: rows.column("node"),
+        _min_member,
+        MEMBERS_SCHEMA,
+        MEMBERS_SCHEMA,
+    )
+    clustered = part_keyed_reduce(
+        members.join(comp, join_type="inner", num_partitions=n_part, on=("node",)),
+        lambda b: b.select(LABELED_SCHEMA.names),
+        lambda rows: rows.column("label"),
+        lambda g: _cluster_assign_partition(g, consolidate),
+        LABELED_SCHEMA,
+        _ASSIGN_SCHEMA,
     )
 
     singles = distinct.join(
