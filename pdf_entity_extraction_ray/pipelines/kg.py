@@ -2,13 +2,16 @@
 
 Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
 
-  P1 mentions : pages -> segments -> tagger -> mentions Parquet, one fused
-                Ray task per block (bucket-partitioned by hash(url))
-  P2 triples  : pages -> segments -> relation extractor -> triples Parquet
-  P3 linking  : mentions -> distinct surfaces -> LSH blocks -> pair test
-                -> union-find -> cluster map (driver artifact, broadcast)
-  P4 graph    : mentions + cluster map -> nodes Parquet, concurrently with
-                triples  + cluster map -> canonical triples -> edges Parquet
+  P1 annotations : pages -> segments -> one tagging pass (spans, then the
+                   relation patterns) -> nested per-segment annotations
+                   Parquet, one fused Ray task per block
+                   (bucket-partitioned by hash(url))
+  P2 explodes    : annotations -> flat mentions and triples Parquet
+  P3 linking     : mentions -> distinct surfaces -> LSH blocks -> pair test
+                   -> union-find -> surface map (an Arrow table, also
+                   written as Parquet)
+  P4 graph       : mentions + surface map -> nodes Parquet, concurrently
+                   with triples + surface map -> canonical triples -> edges
 
 The reference's equivalent lifecycle is E2 -> E3 of SURVEY §3
 (run.py:14-27 then check_performance.py:32-91) with in-memory state and
@@ -69,11 +72,13 @@ CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
 # ``linking_mode="auto"`` / ``rewrite_mode="auto"`` pick the scale paths
 # (distributed label propagation / shuffle-join rewrites) when the distinct
 # (type, surface) universe exceeds this, else the faster broadcast paths.
-# Rationale: a CPython dict entry of (type, surface) -> (node_id, canonical)
-# costs ~400-500 B, so 10^6 entries is ~0.5 GB on the driver AND in every
-# worker that ray.gets the broadcast — the practical ceiling for "the map is
-# the small side".  Outputs are identical across modes (tested), so the
-# switch is purely an execution-strategy decision.
+# Rationale: the broadcast surface map is an Arrow table of 54-80 B per
+# entry (54 B on 200,000 synthetic entries, 80 B on a 3,396-entry long-tail
+# map), so 10^6 entries is ~55-80 MB in the object store, which every
+# worker reads zero-copy.  The value dates from when the map was a Python
+# dict (377 B per entry, ~0.4 GB at 10^6); no measurement of where the join
+# plan starts to win has moved it since.  Outputs are identical across
+# modes (tested), so the switch is purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
 
 
@@ -119,7 +124,7 @@ class _StageSpec:
     kwargs: dict = dataclasses.field(compare=False, hash=False)
 
 
-@functools.lru_cache(maxsize=8)  # bounded like stages.graph._cached_cluster_map
+@functools.lru_cache(maxsize=8)  # bounded like stages.graph._arrow_maps
 def _cached_stage(spec: _StageSpec):
     """One stage per worker process per (class, config): warm workers are
     reused across tasks and builds, so the load is paid once per process
@@ -399,13 +404,14 @@ def run_kg(
     driver until the P4 broadcast — identical output by construction
     (tests assert row equality).
 
-    ``rewrite_mode``: ``"broadcast"`` ships the finished surface map once
-    via ``ray.put`` and rewrites with dict lookups (the small-side
-    assumption — right up to maps of ~10^7 entries); ``"join"`` rewrites
-    mentions and triples through hash-shuffle ``Dataset.join``s against
-    the surface-map PARQUET (stages/graph.py ``canonical_triples_join`` /
-    ``build_nodes_join``) — with ``linking_mode="distributed"`` the map
-    then never exists on the driver at all.  Identical outputs (tested).
+    ``rewrite_mode``: ``"broadcast"`` ships the finished surface map (an
+    Arrow table) once via ``ray.put`` and resolves rows with Arrow
+    ``index_in`` + ``take`` lookups (the small-side assumption);
+    ``"join"`` rewrites mentions and triples through hash-shuffle
+    ``Dataset.join``s against the surface-map PARQUET (stages/graph.py
+    ``canonical_triples_join`` / ``build_nodes_join``) — with
+    ``linking_mode="distributed"`` only the map's node_id column (for the
+    cluster count) is ever read on the driver.  Identical outputs (tested).
 
     Both default to ``"auto"``: the pipeline counts the distinct
     (type, surface) universe (the cheap first shuffle linking needs
@@ -413,6 +419,8 @@ def run_kg(
     exceeds ``auto_threshold`` (:data:`AUTO_DISTRIBUTED_THRESHOLD`), else
     the broadcast fast paths — so a 100x-scale run gets the right plan
     without flag knowledge, and small corpora keep the low-latency path."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray
     import ray.data
 
@@ -471,7 +479,7 @@ def run_kg(
         mentions_dir = mentions_fut.result()
         triples_dir = triples_fut.result()
 
-    # P3: linking — the cluster map is itself a checkpointed Parquet artifact.
+    # P3: linking — the surface map is itself a checkpointed Parquet artifact.
     # Fingerprints use the REQUESTED mode strings (incl. "auto"): the modes
     # are execution strategies with identical outputs (tested), so an auto
     # resolution flip never silently invalidates a sound artifact.
@@ -485,25 +493,12 @@ def run_kg(
         {**base_fp, "phase": "linking", "mode": linking_mode, "pages_snap": snap_fp}
     )
     surface_map_dir = os.path.join(out_dir, "surface_map")
-
-    def _load_map():
-        import pyarrow.parquet as pq
-
-        smt = pq.read_table(surface_map_dir)
-        return {
-            (t, s): (nid, canon)
-            for t, s, nid, canon in zip(
-                smt.column("type").to_pylist(),
-                smt.column("surface").to_pylist(),
-                smt.column("node_id").to_pylist(),
-                smt.column("canonical").to_pylist(),
-            )
-        }
-
     resolved_rewrite = rewrite_mode
     resolved_linking = linking_mode
+    surface_map = None  # the Arrow surface map, when it is on the driver
     with lineage.PhaseTimer() as t_link:
-        if resume and lineage.phase_complete(out_dir, "linking", fp_link):
+        relinked = not (resume and lineage.phase_complete(out_dir, "linking", fp_link))
+        if not relinked:
             import pyarrow.dataset as pads
 
             n_surfaces = pads.dataset(surface_map_dir).count_rows()
@@ -512,15 +507,13 @@ def run_kg(
             # surface-map row count for manifests from older runs
             _m = lineage.load_manifest(out_dir, "linking") or {}
             _nd = _m.get("n_distinct", n_surfaces)
+            clusters = _m.get("clusters")
             if resolved_linking == "auto":
                 resolved_linking = "distributed" if _nd > auto_threshold else "driver"
             if resolved_rewrite == "auto":
                 resolved_rewrite = "join" if _nd > auto_threshold else "broadcast"
-            cluster_map = None  # loaded lazily below, only if P4 needs it
         else:
             import shutil
-
-            import pyarrow.parquet as pq
 
             # drop the manifest BEFORE the artifact: a crash mid-rebuild
             # must never leave a complete-looking manifest over a partial
@@ -553,43 +546,26 @@ def run_kg(
             if resolved_linking == "distributed":
                 from ..stages.linking import link_entities_distributed
 
-                # surface map written straight from the Dataset; the dict
-                # below is only the P4 broadcast side (small by definition
-                # of "broadcastable"; beyond that P4 shuffle-joins instead)
+                # surface map written straight from the Dataset; only the
+                # broadcast plan reads it back to the driver, the join plan
+                # reads its node_id column (P4 joins read the parquet)
                 link_entities_distributed(mentions_ds, distinct=distinct).write_parquet(
                     surface_map_dir
                 )
                 if resolved_rewrite == "join":
-                    # the map never lands on the driver: P4 joins read the
-                    # parquet; count is metadata-only
-                    import pyarrow.dataset as pads
-
-                    cluster_map = None
-                    n_surfaces = pads.dataset(surface_map_dir).count_rows()
+                    node_ids = pq.read_table(surface_map_dir, columns=["node_id"]).column("node_id")
                 else:
-                    cluster_map = _load_map()
-                    n_surfaces = len(cluster_map)
+                    surface_map = pq.read_table(surface_map_dir)
+                    node_ids = surface_map.column("node_id")
+                n_surfaces = len(node_ids)
             else:
-                cluster_map, n_surfaces = link_entities(mentions_ds, distinct=distinct)
+                surface_map, n_surfaces = link_entities(mentions_ds, distinct=distinct)
                 os.makedirs(surface_map_dir, exist_ok=True)
-                keys = sorted(cluster_map)
-                pq.write_table(
-                    pa.table(
-                        {
-                            "type": pa.array([k[0] for k in keys], pa.string()),
-                            "surface": pa.array([k[1] for k in keys], pa.string()),
-                            "node_id": pa.array([cluster_map[k][0] for k in keys], pa.int64()),
-                            "canonical": pa.array([cluster_map[k][1] for k in keys], pa.string()),
-                        }
-                    ),
-                    os.path.join(surface_map_dir, "part-0.parquet"),
-                )
-    if not (resume and lineage.phase_complete(out_dir, "linking", fp_link)):
-        extra = (
-            {"clusters": len({v[0] for v in cluster_map.values()})}
-            if cluster_map is not None
-            else {}
-        )
+                pq.write_table(surface_map, os.path.join(surface_map_dir, "part-0.parquet"))
+                node_ids = surface_map.column("node_id")
+            clusters = pc.count_distinct(node_ids).as_py()
+    if relinked:
+        extra = {"clusters": clusters}
         if n_distinct is not None:
             extra["n_distinct"] = n_distinct
         lineage.write_manifest(out_dir, "linking", fp_link, n_surfaces, t_link.wall, extra=extra)
@@ -608,16 +584,14 @@ def run_kg(
     edges_dir = os.path.join(out_dir, "edges")
     canon_dir = os.path.join(out_dir, "triples_canonical")
     recomputed_graph = not (resume and lineage.phase_complete(out_dir, "graph", fp_graph))
-    # the broadcast map is needed only when P4 actually rebuilds on the
+    # the broadcast map is shipped only when P4 actually rebuilds on the
     # broadcast path — a fully-cached rerun (or the join path) must not
-    # pay the dict load + object-store copy
-    if recomputed_graph and resolved_rewrite != "join" and cluster_map is None:
-        cluster_map = _load_map()
-    cluster_map_ref = (
-        ray.put(cluster_map)
-        if (cluster_map is not None and recomputed_graph and resolved_rewrite != "join")
-        else None
-    )
+    # pay the read + object-store copy
+    surface_map_ref = None
+    if recomputed_graph and resolved_rewrite != "join":
+        if surface_map is None:  # linking was reused
+            surface_map = pq.read_table(surface_map_dir)
+        surface_map_ref = ray.put(surface_map)
     with lineage.PhaseTimer() as t_graph:
         if recomputed_graph:
             import shutil
@@ -651,8 +625,8 @@ def run_kg(
                 nodes_ds = build_nodes_join(mentions_read, sm_read())
                 canon_ds = canonical_triples_join(triples_read, sm_read())
             else:
-                nodes_ds = build_nodes(mentions_read, cluster_map_ref)
-                canon_ds = canonical_triples(triples_read, cluster_map_ref)
+                nodes_ds = build_nodes(mentions_read, surface_map_ref)
+                canon_ds = canonical_triples(triples_read, surface_map_ref)
 
             def canonical_then_edges():
                 canon_ds.write_parquet(canon_dir)
@@ -680,8 +654,8 @@ def run_kg(
         n_nodes = pads.dataset(nodes_dir).count_rows()
         n_edges = pads.dataset(edges_dir).count_rows()
         extra = {"nodes": n_nodes, "edges": n_edges, "distinct_surfaces": n_surfaces}
-        if cluster_map is not None:
-            extra["clusters"] = len({v[0] for v in cluster_map.values()})
+        if clusters is not None:
+            extra["clusters"] = clusters
         lineage.write_manifest(
             out_dir, "graph", fp_graph, n_nodes + n_edges, t_graph.wall, extra=extra
         )

@@ -5,20 +5,24 @@ The Ray-native rendering of the reference's merged EntitiesDict
 mention lists folded under a representative surface) plus the new
 triples->edges rewrite the north_rule requires.
 
-Rewrites read the broadcast cluster map (``ray.put`` once, zero-copy
-``ray.get`` inside each task) — a broadcast hash join, NOT a shuffle join:
-the map is the small side by construction (distinct linked surfaces).
+The surface map is one Arrow table, (type, surface, node_id, canonical),
+from linking to the rewrites.  The two plans differ only in how a row gets
+its (node_id, canonical) columns: the broadcast plan ``ray.put``s the table
+once and each task looks its keys up with ``index_in`` + ``take`` (a
+broadcast hash join, the map being the small side by construction); the
+join plan left-joins against the surface-map Parquet with a shuffle.  Both
+then run the same miss fill (:func:`fill_misses`: DATE values and
+unresolved singletons) and the same node partial.
 
-Hot paths are vectorized: per-batch combining uses Arrow ``group_by``
-(C++), so the Python dict-resolution loop runs over DISTINCT keys per
-batch, never raw rows; the canonical rewrite maps whole columns through
-Arrow ``index_in`` + ``take``.  Nodes and edges are aggregated with the
-part-keyed reduce shared with linking (``stages/linking.part_keyed_reduce``):
-a per-block partial combine, a small-int ``part`` column hashed from the
-group key, then one vectorized merge per part — shuffles move one row per
-group per block and sort only the part key (the head-entity-skew treatment
-from SURVEY §4).  Edges hash on ``src_id ^ dst_id`` so a hub entity's
-edges spread over its neighbours' parts instead of piling onto one.
+Hot paths are vectorized: rows resolve by column, per-batch combining uses
+Arrow ``group_by`` (C++), and only map misses take a Python call.  Nodes
+and edges are aggregated with the part-keyed reduce shared with linking
+(``stages/linking.part_keyed_reduce``): a per-block partial combine, a
+small-int ``part`` column hashed from the group key, then one vectorized
+merge per part — shuffles move one row per group per block and sort only
+the part key (the head-entity-skew treatment from SURVEY §4).  Edges hash
+on ``src_id ^ dst_id`` so a hub entity's edges spread over its neighbours'
+parts instead of piling onto one.
 """
 
 from __future__ import annotations
@@ -75,154 +79,187 @@ EDGES_SCHEMA = pa.schema(
 )
 
 
-def resolve(cluster_map: dict, typ: str, surface: str, obj_norm: str = "") -> tuple[int, str]:
-    """(type, surface) -> (node_id, canonical).
+def resolve(typ: str, surface: str, obj_norm: str | None = None) -> tuple[int, str]:
+    """(type, surface) the surface map does not hold -> (node_id, canonical).
 
-    DATE entities canonicalize by parsed ISO value (obj_norm) — the
-    deterministic analog of the reference's dateparser normalization
-    (src/methods/DateParser.py:44-50); unresolved surfaces fall back to a
-    singleton node (never invent, never drop)."""
+    DATE entities canonicalize by parsed ISO value (``obj_norm`` when the
+    relation extractor already parsed it, else the surface parsed here) —
+    the deterministic analog of the reference's dateparser normalization
+    (src/methods/DateParser.py:44-50); any other miss is a singleton node
+    (never invent, never drop)."""
     if typ == "DATE":
+        if obj_norm is None:
+            parsed = parse_date(surface)
+            obj_norm = parsed.isoformat() if parsed else ""
         canon = obj_norm or surface
         return node_id_of("DATE", canon), canon
-    hit = cluster_map.get((typ, surface))
-    if hit is not None:
-        return hit
     return node_id_of(typ, surface), surface
+
+
+def fill_misses(rows: pa.Table, id_col, canon_col, type_col, surface_col, norm_col=None):
+    """Resolve the rows whose ``canon_col`` is null — surface-map misses:
+    DATE values and unresolved singletons — through :func:`resolve`; hit
+    rows stay Arrow.  The one miss path of both rewrite plans: the
+    (id, canonical) columns come from the broadcast lookup
+    (:func:`_attach`) or from a left join."""
+    canon = rows.column(canon_col).combine_chunks().cast(pa.string())
+    ids = rows.column(id_col).combine_chunks().cast(pa.int64())
+    miss = pc.is_null(canon)
+    if pc.any(miss).as_py():
+        idx = pc.indices_nonzero(miss)
+        norms = rows.column(norm_col).take(idx).to_pylist() if norm_col else [None] * len(idx)
+        keys = list(
+            zip(
+                rows.column(type_col).take(idx).to_pylist(),
+                rows.column(surface_col).take(idx).to_pylist(),
+                norms,
+            )
+        )
+        resolved = {k: resolve(*k) for k in set(keys)}  # misses repeat (DATE values)
+        filled = [resolved[k] for k in keys]
+        ids = pc.replace_with_mask(ids, miss, pa.array([f[0] for f in filled], pa.int64()))
+        canon = pc.replace_with_mask(canon, miss, pa.array([f[1] for f in filled], pa.string()))
+    rows = rows.set_column(rows.schema.get_field_index(id_col), id_col, ids)
+    return rows.set_column(rows.schema.get_field_index(canon_col), canon_col, canon)
+
+
+@functools.lru_cache(maxsize=8)
+def _arrow_maps(surface_map_ref):
+    """The broadcast surface map as ``index_in`` value set: ``type\\0surface``
+    keys with the node_id and canonical columns, built ONCE per worker
+    process (ObjectRefs hash stably; ``ray.get`` of an Arrow table reads
+    the object store zero-copy)."""
+    import ray
+
+    sm = ray.get(surface_map_ref)
+    keys = pc.binary_join_element_wise(sm.column("type"), sm.column("surface"), "\x00")
+    return (
+        keys.combine_chunks(),
+        sm.column("node_id").combine_chunks(),
+        sm.column("canonical").combine_chunks(),
+    )
+
+
+def _attach(rows: pa.Table, surface_map_ref, type_col, surface_col, id_col, canon_col):
+    """Append ``canon_col`` and ``id_col`` looked up in the broadcast map by
+    (``type_col``, ``surface_col``); null where the map has no entry."""
+    keys, ids, canons = _arrow_maps(surface_map_ref)
+    idx = pc.index_in(
+        pc.binary_join_element_wise(
+            rows.column(type_col).combine_chunks().cast(pa.string()),
+            rows.column(surface_col).combine_chunks().cast(pa.string()),
+            "\x00",
+        ),
+        value_set=keys,
+    )
+    return rows.append_column(canon_col, pc.take(canons, idx)).append_column(
+        id_col, pc.take(ids, idx)
+    )
 
 
 # --------------------------------------------------------------------------
 # nodes
 
 
-def _resolve_date(surface: str) -> tuple[int, str]:
-    """DATE surface -> (node_id, canonical) via its parsed ISO value."""
-    parsed = parse_date(surface)
-    return resolve({}, "DATE", surface, parsed.isoformat() if parsed else "")
+def _node_rows(batch: pa.Table) -> pa.Table:
+    """Mentions of the types that become nodes: the linked types, and DATE
+    — edges assign DATE objects real ``dst_id`` values, so the nodes table
+    must hold matching rows or edge->node joins break referential
+    integrity.  Taking them from the SAME mentions read (rather than a
+    second pass over triples) keeps the phase at one input scan."""
+    if batch.num_rows == 0 or "type" not in batch.column_names:
+        return batch
+    return batch.filter(pc.is_in(batch.column("type"), pa.array(LINKED_TYPES + ("DATE",))))
 
 
-def _acc_update(acc: dict, nid: int, canon: str, typ: str, surface: str, n, url_min, url_max):
-    """Fold one distinct (type, surface) group row into the per-node acc."""
-    a = acc.setdefault(
-        nid, {"canonical": canon, "type": typ, "aliases": set(), "n": 0, "urls": set()}
+def _min_k(node_ids, values, k: int) -> pa.ListArray:
+    """(node_id, value) pairs -> per distinct node_id, ascending, its ``k``
+    smallest distinct values, ascending."""
+    t = (
+        pa.table({"node_id": node_ids, "value": values})
+        .group_by(["node_id", "value"])
+        .aggregate([])
+        .sort_by([("node_id", "ascending"), ("value", "ascending")])
     )
-    a["aliases"].add(surface)
-    a["n"] += n
-    if len(a["urls"]) < MAX_URLS_PER_NODE:
-        a["urls"].update((url_min, url_max))
+    ids = t.column("node_id").to_numpy()
+    new = np.ones(len(ids), bool)
+    new[1:] = ids[1:] != ids[:-1]
+    first = np.flatnonzero(new)
+    sizes = np.diff(np.r_[first, len(ids)])
+    keep = np.arange(len(ids)) - np.repeat(first, sizes) < k
+    offsets = np.r_[0, np.cumsum(np.minimum(sizes, k))].astype(np.int32)
+    return pa.ListArray.from_arrays(
+        pa.array(offsets), t.column("value").combine_chunks().filter(pa.array(keep))
+    )
 
 
-def _acc_to_table(acc: dict) -> pa.Table:
-    """Per-node acc -> PARTIAL_NODES_SCHEMA rows (shared by the broadcast
-    and the join node builders)."""
+def _fold_nodes(rows: pa.Table, aliases, urls) -> pa.Table:
+    """Rows with (node_id, canonical, type, n_mentions) plus (node_id, alias)
+    and (node_id, url) pairs -> one PARTIAL_NODES_SCHEMA row per node_id,
+    ascending: mentions summed, the smallest MAX_ALIASES_PER_NODE aliases
+    and MAX_URLS_PER_NODE + 1 urls.  The node partial and the node merge
+    are both this fold; min-k of a union is associative, so the merged
+    row is the same however the mentions were split into blocks."""
+    g = (
+        rows.group_by("node_id")
+        .aggregate([("canonical", "min"), ("type", "min"), ("n_mentions", "sum")])
+        .sort_by("node_id")
+    )
     return pa.table(
-        {
-            "node_id": list(acc),
-            "canonical": [a["canonical"] for a in acc.values()],
-            "type": [a["type"] for a in acc.values()],
-            "aliases": [sorted(a["aliases"]) for a in acc.values()],
-            "n_mentions": [a["n"] for a in acc.values()],
-            "urls": [sorted(a["urls"]) for a in acc.values()],
-        },
+        [
+            g.column("node_id"),
+            g.column("canonical_min"),
+            g.column("type_min"),
+            _min_k(*aliases, MAX_ALIASES_PER_NODE),
+            g.column("n_mentions_sum"),
+            _min_k(*urls, MAX_URLS_PER_NODE + 1),
+        ],
         schema=PARTIAL_NODES_SCHEMA,
     )
 
 
-def node_partials_batch(batch: pa.Table, cluster_map: dict) -> pa.Table:
-    """mentions batch -> partial per-node aggregates.
+def node_partials_batch(rows: pa.Table) -> pa.Table:
+    """Node-type mention rows with their ``node_id``/``canonical`` columns
+    (null where the surface map has no entry) -> partial per-node rows.
+    The one partial of both plans: the broadcast plan attaches the columns
+    by lookup, the join plan by a left join.
 
-    Arrow ``group_by`` (C++) reduces the batch to distinct (type, surface)
-    rows first; the Python resolution loop then touches only those.
-
-    DATE mentions become nodes here too, keyed by their parsed ISO value
-    (every tagged DATE passed the M9 parseability gate) — edges assign
-    DATE objects real ``dst_id`` values, so the nodes table must contain
-    matching rows or edge->node joins break referential integrity.
-    Deriving them from the SAME mentions read (rather than a second pass
-    over triples) keeps the phase at one input scan."""
-    keep = pc.is_in(batch.column("type"), pa.array(LINKED_TYPES + ("DATE",)))
-    sub = batch.filter(keep)
-    g = sub.group_by(["type", "surface"]).aggregate(
-        [("url", "count"), ("url", "min"), ("url", "max")]
+    Arrow ``group_by`` reduces the batch to distinct (surface, url) rows
+    first, so only the misses among those (DATE surfaces, resolved by
+    parsed ISO value, and unresolved singletons) take a Python call."""
+    d = rows.group_by(["type", "surface", "node_id", "canonical", "url"]).aggregate(
+        [([], "count_all")]
     )
-    acc: dict[int, dict] = {}
-    for typ, surface, n, url_min, url_max in zip(
-        g.column("type").to_pylist(),
-        g.column("surface").to_pylist(),
-        g.column("url_count").to_pylist(),
-        g.column("url_min").to_pylist(),
-        g.column("url_max").to_pylist(),
-    ):
-        if typ == "DATE":
-            nid, canon = _resolve_date(surface)
-        else:
-            nid, canon = resolve(cluster_map, typ, surface)
-        _acc_update(acc, nid, canon, typ, surface, n, url_min, url_max)
-    return _acc_to_table(acc)
+    d = d.rename_columns(["n_mentions" if c == "count_all" else c for c in d.column_names])
+    d = fill_misses(d, "node_id", "canonical", "type", "surface")
+    ids = d.column("node_id")
+    return _fold_nodes(d, (ids, d.column("surface")), (ids, d.column("url")))
 
 
 def node_shard_merge(group: pa.Table) -> pa.Table:
     """Reduce one part of partial node rows -> NODES_SCHEMA rows (one per
-    node_id in the part, sorted by node_id — deterministic).  A part holds
-    ~n_nodes/parts nodes, so the Python merge runs once per part, never
-    once per node (every distinct DATE is a node).
+    node_id in the part, ascending — deterministic), by the same fold as
+    the partials.  ``urls_sample`` is exactly the node's smallest
+    MAX_URLS_PER_NODE urls and ``n_urls`` the distinct urls retained
+    (MAX_URLS_PER_NODE + 1 signals "more than the sample") — a hub node
+    contributed by 10^5 input blocks never holds more than that per
+    partial row."""
 
-    The per-node url union is capped at MAX_URLS_PER_NODE + 1 as it
-    accumulates (keep the lexicographically smallest; min-k is
-    associative, so ``urls_sample`` equals the smallest MAX_URLS of the
-    full union exactly) — a hub node contributed by 10^5 input blocks must
-    not build a 10^5-element set inside one merge task.  ``n_urls`` is
-    therefore the distinct urls RETAINED in the bounded sample
-    (== MAX_URLS_PER_NODE + 1 signals "more than the sample")."""
-    cap = MAX_URLS_PER_NODE + 1
-    acc: dict[int, dict] = {}
-    for nid, canon, typ, aliases, n, urls in zip(
-        group.column("node_id").to_pylist(),
-        group.column("canonical").to_pylist(),
-        group.column("type").to_pylist(),
-        group.column("aliases").to_pylist(),
-        group.column("n_mentions").to_pylist(),
-        group.column("urls").to_pylist(),
-    ):
-        a = acc.setdefault(
-            nid, {"canonical": canon, "type": typ, "aliases": set(), "n": 0, "urls": set()}
-        )
-        a["aliases"].update(aliases)
-        a["n"] += n
-        a["urls"].update(urls)
-        if len(a["urls"]) > cap:
-            a["urls"] = set(sorted(a["urls"])[:cap])
-    nids = sorted(acc)
+    def pairs(col):
+        lists = group.column(col).combine_chunks()
+        ids = pc.take(group.column("node_id"), pc.list_parent_indices(lists))
+        return ids, pc.list_flatten(lists)
+
+    t = _fold_nodes(group, pairs("aliases"), pairs("urls"))
+    urls = t.column("urls")
     return pa.table(
-        {
-            "node_id": pa.array(nids, pa.int64()),
-            "canonical": pa.array([acc[k]["canonical"] for k in nids], pa.string()),
-            "type": pa.array([acc[k]["type"] for k in nids], pa.string()),
-            "aliases": pa.array(
-                [sorted(acc[k]["aliases"])[:MAX_ALIASES_PER_NODE] for k in nids],
-                pa.list_(pa.string()),
-            ),
-            "n_mentions": pa.array([acc[k]["n"] for k in nids], pa.int64()),
-            "n_urls": pa.array([len(acc[k]["urls"]) for k in nids], pa.int64()),
-            "urls_sample": pa.array(
-                [sorted(acc[k]["urls"])[:MAX_URLS_PER_NODE] for k in nids],
-                pa.list_(pa.string()),
-            ),
-        }
+        [
+            *t.select(["node_id", "canonical", "type", "aliases", "n_mentions"]).columns,
+            pc.list_value_length(urls).cast(pa.int64()),
+            pc.list_slice(urls, 0, MAX_URLS_PER_NODE),
+        ],
+        schema=NODES_SCHEMA,
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_cluster_map(cluster_map_ref) -> dict:
-    """``ray.get`` the broadcast cluster map ONCE per worker process.
-
-    Ray does not cache the deserialized Python dict across ``ray.get``
-    calls on the same ref (measured ~1.1 s per call for a 1M-entry map);
-    without this, every mentions batch re-unpickles the whole map.  Same
-    pattern as :func:`_arrow_maps` (ObjectRefs hash stably)."""
-    import ray
-
-    return ray.get(cluster_map_ref)
 
 
 def _shard_merge_nodes(ds, partial):
@@ -239,12 +276,13 @@ def _shard_merge_nodes(ds, partial):
     )
 
 
-def build_nodes(mentions_ds, cluster_map_ref):
-    """mentions Dataset + broadcast cluster map -> nodes Dataset (linked
+def build_nodes(mentions_ds, surface_map_ref):
+    """mentions Dataset + broadcast surface map -> nodes Dataset (linked
     types + DATE, so every edge endpoint has a nodes row)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        return node_partials_batch(batch, _cached_cluster_map(cluster_map_ref))
+        rows = _attach(_node_rows(batch), surface_map_ref, "type", "surface", "node_id", "canonical")
+        return node_partials_batch(rows)
 
     return _shard_merge_nodes(mentions_ds, partial)
 
@@ -252,90 +290,34 @@ def build_nodes(mentions_ds, cluster_map_ref):
 # --------------------------------------------------------------------------
 # canonical triples (carries node ids so edges need no further lookups)
 
+_CANONICAL_COLUMNS = ["subj_canonical", "obj_canonical", "src_id", "dst_id"]
 
-def canonical_triples(triples_ds, cluster_map_ref):
+
+def _fill_triples(batch: pa.Table) -> pa.Table:
+    """Both endpoints' misses through :func:`fill_misses`, canonical
+    columns last in one order — the shared tail of both triple rewrites.
+    Subjects have no parsed value (no pattern has a DATE subject)."""
+    if "obj_canonical" not in batch.column_names:
+        return batch  # an empty join block carries no schema
+    batch = fill_misses(batch, "src_id", "subj_canonical", "subj_type", "subj")
+    batch = fill_misses(batch, "dst_id", "obj_canonical", "obj_type", "obj", "obj_norm")
+    rest = [c for c in batch.column_names if c not in _CANONICAL_COLUMNS]
+    return batch.select(rest + _CANONICAL_COLUMNS)
+
+
+def canonical_triples(triples_ds, surface_map_ref):
     """triples Dataset -> triples + (subj/obj canonical, src/dst node id)
     columns — the table the P/R evaluation consumes AND the sole input to
-    the edges aggregation (no second broadcast-map pass over raw triples).
-
-    Arrow-native rewrite: the broadcast cluster map is flattened ONCE per
-    worker into parallel (key, canonical, node_id) Arrow arrays; per batch
-    one ``binary_join_element_wise`` builds the lookup keys and
-    ``index_in`` + ``take`` resolve both columns vectorized.  ``take`` on
-    an int64 array keeps ids int64 end-to-end (the reason the previous
-    pandas version needed a dict loop — ``Series.map`` coerces to float64
-    on any miss, rounding 63-bit content ids).  Only misses (DATE objects
-    + unresolved singletons) take the per-row ``resolve`` path."""
+    the edges aggregation.  Both endpoints resolve through the broadcast
+    surface map by ``index_in`` + ``take`` (ids stay int64 end to end);
+    only misses take the per-row :func:`resolve` path."""
 
     def rewrite(batch: pa.Table) -> pa.Table:
-        keys_arr, canon_arr, ids_arr = _arrow_maps(cluster_map_ref)
-
-        def map_side(type_col, surface_col, obj_norm_col=None):
-            keys = pc.binary_join_element_wise(
-                type_col.cast(pa.string()), surface_col.cast(pa.string()), "\x00"
-            )
-            idx = pc.index_in(keys, value_set=keys_arr)
-            canon = pc.take(canon_arr, idx)
-            ids = pc.take(ids_arr, idx)
-            miss = np.nonzero(pc.is_null(idx).to_numpy(zero_copy_only=False))[0]
-            if len(miss):
-                # only the miss rows (DATE objects + unresolved singletons)
-                # pay a Python conversion — hit rows stay Arrow
-                miss_idx = pa.array(miss, pa.int64())
-                canon = canon.to_pylist()
-                ids = ids.to_pylist()
-                types = type_col.take(miss_idx).to_pylist()
-                surfaces = surface_col.take(miss_idx).to_pylist()
-                norms = (
-                    obj_norm_col.take(miss_idx).to_pylist()
-                    if obj_norm_col is not None
-                    else [""] * len(miss)
-                )
-                for j, i in enumerate(miss):
-                    nid, c = resolve({}, types[j], surfaces[j], norms[j] or "")
-                    canon[i] = c
-                    ids[i] = nid
-                return pa.array(canon, pa.string()), pa.array(ids, pa.int64())
-            return canon.cast(pa.string()), ids.cast(pa.int64())
-
-        subj_canon, src_id = map_side(
-            batch.column("subj_type").combine_chunks(),
-            batch.column("subj").combine_chunks(),
-        )
-        obj_canon, dst_id = map_side(
-            batch.column("obj_type").combine_chunks(),
-            batch.column("obj").combine_chunks(),
-            batch.column("obj_norm").combine_chunks(),
-        )
-        return (
-            batch.append_column("subj_canonical", subj_canon)
-            .append_column("obj_canonical", obj_canon)
-            .append_column("src_id", src_id)
-            .append_column("dst_id", dst_id)
-        )
+        batch = _attach(batch, surface_map_ref, "subj_type", "subj", "src_id", "subj_canonical")
+        batch = _attach(batch, surface_map_ref, "obj_type", "obj", "dst_id", "obj_canonical")
+        return _fill_triples(batch)
 
     return triples_ds.map_batches(rewrite, batch_format="pyarrow")
-
-
-@functools.lru_cache(maxsize=8)
-def _arrow_maps(cluster_map_ref):
-    """Flatten the broadcast cluster map into parallel (keys, canonical,
-    node_id) Arrow arrays ONCE per worker process (ObjectRefs hash stably;
-    ray.get of the same ref is plasma-cached) — the value-set side of the
-    per-batch ``index_in`` lookups in :func:`canonical_triples`."""
-    import ray
-
-    cluster_map = ray.get(cluster_map_ref)
-    keys, canons, ids = [], [], []
-    for (t, s), (nid, c) in cluster_map.items():
-        keys.append(t + "\x00" + s)
-        canons.append(c)
-        ids.append(nid)
-    return (
-        pa.array(keys, pa.string()),
-        pa.array(canons, pa.string()),
-        pa.array(ids, pa.int64()),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +339,7 @@ EDGE_PARTIALS_SCHEMA = pa.schema(
 
 def edge_partials_batch(batch: pa.Table) -> pa.Table:
     """canonical-triples batch -> partial per-(src, pred, dst) aggregates
-    (pure Arrow group_by; no dict lookups needed)."""
+    (pure Arrow group_by; no lookups needed)."""
     g = batch.group_by(["src_id", "pred", "dst_id", "subj_canonical", "obj_canonical"]).aggregate(
         [("url", "count"), ("url", "min")]
     )
@@ -433,17 +415,12 @@ def _sm_renamed(surface_map_ds, type_col: str, surface_col: str, id_col: str, ca
 
 def canonical_triples_join(triples_ds, surface_map_ds, num_partitions: int | None = None):
     """triples ⋈ surface map on (type, surface) for both sides — the
-    shuffle alternative to :func:`canonical_triples`'s broadcast-map
-    rewrite, for surface universes too large to ``ray.put``.
+    shuffle alternative to :func:`canonical_triples`'s broadcast lookup,
+    for surface universes too large to ``ray.put``.
 
-    BOTH sides LEFT-join and the misses route through the same
-    :func:`resolve` fallback the broadcast path uses ("never invent,
-    never drop"): object misses are DATE objects (canonicalized by parsed
-    ISO value) and unresolved singletons; subject misses should not occur
-    (every subject is an observed linked surface) but if the invariant is
-    ever violated the row resolves to a singleton node instead of being
-    silently dropped — exactly what :func:`canonical_triples` does.
-    Output rows are identical to the broadcast path (tested).
+    BOTH sides LEFT-join and the misses take the same fill as the
+    broadcast path (:func:`_fill_triples`, "never invent, never drop"), so
+    output rows are identical to it (tested).
     """
     n_part = num_partitions or _join_parts()
     j = triples_ds.join(
@@ -457,93 +434,16 @@ def canonical_triples_join(triples_ds, surface_map_ds, num_partitions: int | Non
         num_partitions=n_part,
         on=("obj_type", "obj"),
     )
-
-    def fill_misses(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "obj_canonical" not in batch.column_names:
-            return batch
-
-        def fill_side(canon_name, id_name, type_name, surface_name, norm_name):
-            canon_col = batch.column(canon_name).combine_chunks()
-            # fast path: no join misses on this side (the common case —
-            # misses are only DATE objects / unresolved singletons), so
-            # the columns pass through zero-copy, no Python round-trip
-            if not pc.any(pc.is_null(canon_col)).as_py():
-                return (
-                    canon_col.cast(pa.string()),
-                    batch.column(id_name).combine_chunks().cast(pa.int64()),
-                )
-            canon = canon_col.to_pylist()
-            ids = batch.column(id_name).to_pylist()
-            types = batch.column(type_name).to_pylist()
-            surfaces = batch.column(surface_name).to_pylist()
-            norms = (
-                batch.column(norm_name).to_pylist()
-                if norm_name is not None
-                else [""] * batch.num_rows
-            )
-            for i, c in enumerate(canon):
-                if c is None:
-                    nid, cc = resolve({}, types[i], surfaces[i], norms[i] or "")
-                    canon[i] = cc
-                    ids[i] = nid
-            return pa.array(canon, pa.string()), pa.array(ids, pa.int64())
-
-        subj_canon, src_ids = fill_side("subj_canonical", "src_id", "subj_type", "subj", None)
-        obj_canon, dst_ids = fill_side("obj_canonical", "dst_id", "obj_type", "obj", "obj_norm")
-        batch = batch.drop_columns(["subj_canonical", "src_id", "obj_canonical", "dst_id"])
-        return (
-            batch.append_column("subj_canonical", subj_canon)
-            .append_column("src_id", src_ids)
-            .append_column("obj_canonical", obj_canon)
-            .append_column("dst_id", dst_ids)
-        )
-
-    return j.map_batches(fill_misses, batch_format="pyarrow")
+    return j.map_batches(_fill_triples, batch_format="pyarrow")
 
 
 def build_nodes_join(mentions_ds, surface_map_ds, num_partitions: int | None = None):
     """mentions ⋈ surface map -> nodes Dataset, no broadcast: the shuffle
-    alternative to :func:`build_nodes`.  DATE mentions miss the left join
-    and resolve by parsed ISO value, exactly like the broadcast path."""
-    n_part = num_partitions or _join_parts()
-    keep_types = LINKED_TYPES + ("DATE",)
-
-    def prefilter(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "type" not in batch.column_names:
-            return batch
-        return batch.filter(pc.is_in(batch.column("type"), pa.array(keep_types)))
-
-    joined = mentions_ds.map_batches(prefilter, batch_format="pyarrow").join(
+    alternative to :func:`build_nodes`, with the same node partial."""
+    joined = mentions_ds.map_batches(_node_rows, batch_format="pyarrow").join(
         _sm_renamed(surface_map_ds, "type", "surface", "node_id", "canonical"),
         join_type="left_outer",
-        num_partitions=n_part,
+        num_partitions=num_partitions or _join_parts(),
         on=("type", "surface"),
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        """Per-batch combiner over joined rows (node id/canonical already
-        columns; misses = DATE / unresolved, filled via resolve).  Shares
-        the acc fold/emit with :func:`node_partials_batch` — only the
-        (node_id, canonical) source differs (join columns vs map)."""
-        g = batch.group_by(["type", "surface", "node_id", "canonical"]).aggregate(
-            [("url", "count"), ("url", "min"), ("url", "max")]
-        )
-        acc: dict[int, dict] = {}
-        for typ, surface, nid, canon, n, url_min, url_max in zip(
-            g.column("type").to_pylist(),
-            g.column("surface").to_pylist(),
-            g.column("node_id").to_pylist(),
-            g.column("canonical").to_pylist(),
-            g.column("url_count").to_pylist(),
-            g.column("url_min").to_pylist(),
-            g.column("url_max").to_pylist(),
-        ):
-            if canon is None:
-                if typ == "DATE":
-                    nid, canon = _resolve_date(surface)
-                else:
-                    nid, canon = resolve({}, typ, surface)
-            _acc_update(acc, nid, canon, typ, surface, n, url_min, url_max)
-        return _acc_to_table(acc)
-
-    return _shard_merge_nodes(joined, partial)
+    return _shard_merge_nodes(joined, node_partials_batch)

@@ -25,10 +25,11 @@ surface forms and consolidates each group with an LLM call.  Here:
    recall also appear in smaller, rarer blocks.
 4. **components** — two interchangeable paths with identical output:
    the driver path (``link_entities``) closes the tiny edge list with
-   union-find and broadcasts the resulting map; the distributed path
-   (``link_entities_distributed``) runs BSP min-label propagation
-   (``label_propagation_components``) so neither the surface universe nor
-   the edges ever land on the driver — the 10^8+-distinct-surface route.
+   union-find and returns the surface map as one Arrow table; the
+   distributed path (``link_entities_distributed``) runs BSP min-label
+   propagation (``label_propagation_components``) so neither the surface
+   universe nor the edges ever land on the driver — the
+   10^8+-distinct-surface route.
 
 Representative selection replaces the LLM judge (A9) with the
 deterministic "most complete name" contract the prompts encode
@@ -308,6 +309,15 @@ def _crc32_keys(strings) -> list[int]:
     return [zlib.crc32(s.encode("utf-8")) for s in strings]
 
 
+# the linked surface map: (type, surface) -> (node_id, canonical)
+SURFACE_MAP_SCHEMA = pa.schema(
+    [
+        ("type", pa.string()),
+        ("surface", pa.string()),
+        ("node_id", pa.int64()),
+        ("canonical", pa.string()),
+    ]
+)
 SURFACES_SCHEMA = pa.schema([("type", pa.string()), ("surface", pa.string()), ("n", pa.int64())])
 BLOCK_ROWS_SCHEMA = pa.schema(
     [("block", pa.string()), ("type", pa.string()), ("surface", pa.string())]
@@ -414,12 +424,13 @@ def distinct_surfaces(mentions_ds):
 
 
 def link_entities(mentions_ds, *, consolidate=None, distinct=None):
-    """mentions Dataset -> (cluster_map dict, distinct surface count).
+    """mentions Dataset -> (surface map, distinct linked surface count).
 
-    The returned map is small (distinct linked surfaces only); callers
-    broadcast it with ``ray.put`` for the rewrite stages.  ``distinct``:
-    optionally a precomputed :func:`distinct_surfaces` result (skips the
-    first shuffle).
+    The surface map is an Arrow table of :data:`SURFACE_MAP_SCHEMA`, one
+    row per distinct linked (type, surface), sorted by (type, surface);
+    callers broadcast it with ``ray.put`` for the rewrite stages.
+    ``distinct``: optionally a precomputed :func:`distinct_surfaces`
+    result (skips the first shuffle).
     """
     import ray
 
@@ -446,7 +457,17 @@ def link_entities(mentions_ds, *, consolidate=None, distinct=None):
                 batch.column("b").to_pylist(),
             )
         )
-    return build_cluster_map(sorted(set(edges)), universe, consolidate), len(universe)
+    cluster_map = build_cluster_map(sorted(set(edges)), universe, consolidate)
+    surface_map = pa.table(
+        {
+            "type": [t for t, _ in cluster_map],
+            "surface": [s for _, s in cluster_map],
+            "node_id": [nid for nid, _ in cluster_map.values()],
+            "canonical": [c for _, c in cluster_map.values()],
+        },
+        schema=SURFACE_MAP_SCHEMA,
+    )
+    return surface_map.sort_by([("type", "ascending"), ("surface", "ascending")]), len(universe)
 
 
 # --------------------------------------------------------------------------
@@ -790,16 +811,6 @@ def _cluster_assign(group: pa.Table, consolidate=None) -> pa.Table:
     )
 
 
-_ASSIGN_SCHEMA = pa.schema(
-    [
-        ("type", pa.string()),
-        ("surface", pa.string()),
-        ("node_id", pa.int64()),
-        ("canonical", pa.string()),
-    ]
-)
-
-
 def _cluster_assign_partition(group: pa.Table, consolidate=None) -> pa.Table:
     """One coarse hash partition (MANY component labels) -> assignment
     rows.  The per-label analog of :func:`_block_pairs_partition`: at
@@ -852,14 +863,7 @@ def _cluster_assign_partition(group: pa.Table, consolidate=None) -> pa.Table:
 
 def _singleton_rows(batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0 or "type" not in batch.column_names:
-        return pa.table(
-            {
-                "type": pa.array([], pa.string()),
-                "surface": pa.array([], pa.string()),
-                "node_id": pa.array([], pa.int64()),
-                "canonical": pa.array([], pa.string()),
-            }
-        )
+        return SURFACE_MAP_SCHEMA.empty_table()
     types = batch.column("type").to_pylist()
     surfaces = batch.column("surface").to_pylist()
     return pa.table(
@@ -925,7 +929,7 @@ def link_entities_distributed(
         lambda rows: rows.column("label"),
         lambda g: _cluster_assign_partition(g, consolidate),
         LABELED_SCHEMA,
-        _ASSIGN_SCHEMA,
+        SURFACE_MAP_SCHEMA,
     )
 
     singles = distinct.join(

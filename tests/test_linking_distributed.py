@@ -1,9 +1,9 @@
 """Distributed linking (label-propagation connected components).
 
 The driver union-find path (stages/linking.py ``link_entities``) is exact;
-the distributed path must produce IDENTICAL (type, surface) -> (node_id,
-canonical) assignments so the pipeline can switch on universe size without
-changing results.  A stress test drives the propagation over a synthetic
+the distributed path must produce an IDENTICAL surface-map table
+(type, surface, node_id, canonical) so the pipeline can switch on universe
+size without changing results.  A stress test drives the propagation over a synthetic
 edge set far larger than anything the small corpus produces.
 """
 
@@ -12,6 +12,7 @@ import ray.data
 
 from pdf_entity_extraction_ray.stages.extract import extract_segments_batch
 from pdf_entity_extraction_ray.stages.linking import (
+    SURFACE_MAP_SCHEMA,
     label_propagation_components,
     link_entities,
     link_entities_distributed,
@@ -52,22 +53,19 @@ def _tag_batch_fn(gaz):
 
 def test_distributed_matches_driver_path(small_corpus):
     mentions = _mentions_ds(small_corpus)
-    cluster_map, n_surfaces = link_entities(mentions)
+    surface_map, n_surfaces = link_entities(mentions)
+    by_key = [("type", "ascending"), ("surface", "ascending")]
+    assert surface_map.num_rows == n_surfaces > 0
+    assert surface_map.schema == SURFACE_MAP_SCHEMA
+    assert surface_map.equals(surface_map.sort_by(by_key))
 
-    sm_ds = link_entities_distributed(mentions)
-    got = {}
-    for b in sm_ds.iter_batches(batch_format="pyarrow"):
-        if b.num_rows == 0 or "type" not in b.column_names:
-            continue
-        for t, s, nid, canon in zip(
-            b.column("type").to_pylist(),
-            b.column("surface").to_pylist(),
-            b.column("node_id").to_pylist(),
-            b.column("canonical").to_pylist(),
-        ):
-            got[(t, s)] = (nid, canon)
-    assert len(got) == n_surfaces
-    assert got == cluster_map
+    got = pa.concat_tables(
+        b
+        for b in link_entities_distributed(mentions).iter_batches(batch_format="pyarrow")
+        if b.num_rows and "type" in b.column_names
+    ).sort_by(by_key)
+    assert got.schema == SURFACE_MAP_SCHEMA
+    assert got.equals(surface_map)
 
 
 def test_label_propagation_stress_many_components():

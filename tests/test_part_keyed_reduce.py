@@ -1,12 +1,15 @@
 """The part-keyed reduces of the KG stages (``stages/linking.part_keyed_reduce``)
 must equal in-process Arrow references and the Ray sort-``Aggregate``
 formulation they replaced, at any part count, with empty blocks and hub
-keys; and the P4 canonical -> edges driver thread must fail the build.
+keys; nodes must not depend on how the mentions are split into blocks;
+and the P4 canonical -> edges driver thread must fail the build, which a
+resume then completes to a clean build's graph.
 """
 
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data
@@ -17,7 +20,11 @@ from pdf_entity_extraction_ray.stages.graph import (
     build_nodes,
     edge_partials_batch,
 )
-from pdf_entity_extraction_ray.stages.linking import distinct_surfaces
+from pdf_entity_extraction_ray.stages.linking import (
+    SURFACE_MAP_SCHEMA,
+    distinct_surfaces,
+    node_id_of,
+)
 
 
 def _rows(ds, sort_keys) -> list[dict]:
@@ -146,9 +153,23 @@ def test_edges_equal_sort_aggregate(monkeypatch, parts):
     assert schemas == {graph.EDGES_SCHEMA}
 
 
-def test_build_nodes_same_table_at_any_part_count(monkeypatch):
-    from pdf_entity_extraction_ray.stages.linking import node_id_of
+def _surface_map(rows) -> pa.Table:
+    """(type, surface, node_id, canonical) rows -> a surface-map table."""
+    return pa.table(
+        [pa.array([r[i] for r in rows], f.type) for i, f in enumerate(SURFACE_MAP_SCHEMA)],
+        schema=SURFACE_MAP_SCHEMA,
+    )
 
+
+def _nodes(ds) -> pa.Table:
+    """A nodes Dataset as one table sorted by node_id."""
+    got = pa.concat_tables(
+        t for t in ds.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows
+    )
+    return got.sort_by("node_id")
+
+
+def test_build_nodes_same_table_at_any_part_count(monkeypatch):
     # the hub node and Person 7 get partial rows from both non-empty blocks
     rows = [("GPE", "France", f"https://h{i}.example/p") for i in range(60)]
     rows += [("PERSON", f"Person {i}", f"https://p.example/{i}") for i in range(200)]
@@ -163,19 +184,16 @@ def test_build_nodes_same_table_at_any_part_count(monkeypatch):
         }
     )
     france = (node_id_of("GPE", "France"), "France")
-    cluster_map = {("GPE", "France"): france, ("GPE", "french republic"): france,
-                   ("PERSON", "P. 7"): (node_id_of("PERSON", "Person 7"), "Person 7")}
-    cluster_map_ref = ray.put(cluster_map)
+    surface_map_ref = ray.put(
+        _surface_map([("GPE", "France", *france), ("GPE", "french republic", *france),
+                      ("PERSON", "P. 7", node_id_of("PERSON", "Person 7"), "Person 7")])
+    )
     blocks = [mentions.slice(0, 100), mentions.slice(0, 0), mentions.slice(100)]
 
     tables = {}
     for parts in (1, 3, 16):
         monkeypatch.setattr(linking, "_coarse_parts", lambda parts=parts: parts)
-        ds = build_nodes(ray.data.from_arrow(blocks), cluster_map_ref)
-        got = pa.concat_tables(
-            t for t in ds.iter_batches(batch_format="pyarrow", batch_size=None) if t.num_rows
-        )
-        tables[parts] = got.sort_by("node_id")
+        tables[parts] = _nodes(build_nodes(ray.data.from_arrow(blocks), surface_map_ref))
     assert tables[1].schema == graph.NODES_SCHEMA
     assert tables[1].equals(tables[3]) and tables[1].equals(tables[16])
     by_id = {r["node_id"]: r for r in tables[1].to_pylist()}
@@ -183,6 +201,49 @@ def test_build_nodes_same_table_at_any_part_count(monkeypatch):
     assert hub["n_mentions"] == 61 and hub["aliases"] == ["France", "french republic"]
     # both DATE spellings parse to one ISO node; MISC is not a node type
     assert tables[1].num_rows == 1 + 200 + 1
+
+
+def test_build_nodes_same_table_at_any_block_split():
+    """Nodes are a function of the mentions alone: 1 or 8 input blocks give
+    an equal table.  The hub's 60 urls are spread over every block, so a
+    per-block sample that is not an associative min-k (e.g. min and max url
+    per surface and block) keeps different urls per split."""
+    import random
+
+    rows = [("GPE", "France", f"https://h.example/{i:02d}") for i in range(60)]
+    rows += [("GPE", "french republic", f"https://h.example/{i:02d}") for i in range(0, 60, 7)]
+    rows += [("PERSON", f"Person {i % 9}", f"https://p.example/{i % 13}") for i in range(90)]
+    rows += [("DATE", "2 January 2020", "https://d.example/1"),
+             ("DATE", "2020-01-02", "https://d.example/0")]
+    random.Random(7).shuffle(rows)
+    mentions = pa.table(
+        {
+            "type": pa.array([r[0] for r in rows], pa.string()),
+            "surface": pa.array([r[1] for r in rows], pa.string()),
+            "url": pa.array([r[2] for r in rows], pa.string()),
+        }
+    )
+    france = (node_id_of("GPE", "France"), "France")
+    surface_map_ref = ray.put(
+        _surface_map([("GPE", "France", *france), ("GPE", "french republic", *france)])
+    )
+    step = -(-mentions.num_rows // 8)
+    one = _nodes(build_nodes(ray.data.from_arrow([mentions]), surface_map_ref))
+    eight = _nodes(
+        build_nodes(
+            ray.data.from_arrow(
+                [mentions.slice(i, step) for i in range(0, mentions.num_rows, step)]
+            ),
+            surface_map_ref,
+        )
+    )
+    assert one.equals(eight)
+    by_id = {r["node_id"]: r for r in one.to_pylist()}
+    hub = by_id[france[0]]
+    assert hub["urls_sample"] == [f"https://h.example/{i:02d}" for i in range(20)]
+    assert hub["n_urls"] == 21 and hub["n_mentions"] == 69
+    date = by_id[node_id_of("DATE", "2020-01-02")]
+    assert date["n_urls"] == 2 and date["aliases"] == ["2 January 2020", "2020-01-02"]
 
 
 def test_edges_thread_failure_propagates_without_graph_manifest(
@@ -194,10 +255,27 @@ def test_edges_thread_failure_propagates_without_graph_manifest(
     def boom(canonical_ds):
         raise RuntimeError("edges build failed")
 
-    monkeypatch.setattr(graph, "build_edges_from_canonical", boom)
+    pages = os.path.join(small_corpus, "pages")
     out = str(tmp_path / "out")
-    with pytest.raises(RuntimeError, match="edges build failed"):
-        run_kg(os.path.join(small_corpus, "pages"), out, n_buckets=4, concurrency=2)
-    assert lineage.load_manifest(out, "linking") is not None
+    with monkeypatch.context() as m:
+        m.setattr(graph, "build_edges_from_canonical", boom)
+        with pytest.raises(RuntimeError, match="edges build failed"):
+            run_kg(pages, out, n_buckets=4, concurrency=2)
+    linking_manifest = lineage.load_manifest(out, "linking")
+    assert linking_manifest is not None
     assert lineage.load_manifest(out, "graph") is None
     assert not os.path.exists(os.path.join(out, "edges"))
+
+    # the resume reuses linking and broadcasts the surface map read back
+    # from its Parquet artifact; the graph equals a clean build's
+    run_kg(pages, out, n_buckets=4, concurrency=2, resume=True)
+    assert lineage.load_manifest(out, "linking") == linking_manifest
+    clean = str(tmp_path / "clean")
+    run_kg(pages, clean, n_buckets=4, concurrency=2)
+    for name, keys in (("nodes", ["node_id"]), ("edges", ["src_id", "pred", "dst_id"]),
+                       ("triples_canonical", ["url", "seg_id", "evidence_start"])):
+        got, want = (
+            pq.read_table(os.path.join(d, name)).sort_by([(k, "ascending") for k in keys])
+            for d in (out, clean)
+        )
+        assert got.num_rows and got.equals(want), name

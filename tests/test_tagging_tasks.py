@@ -118,8 +118,8 @@ def test_tagging_is_a_task_op_with_passthrough(small_corpus, tmp_path, monkeypat
     assert pads.dataset(f"{tmp_path}/annotations", partitioning="hive").count_rows() > 0
 
 
-def _edge_rows(edges_dir):
-    t = pads.dataset(edges_dir).to_table()
+def _rows(table_dir):
+    t = pads.dataset(table_dir).to_table()
     cols = sorted(t.column_names)
     return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
 
@@ -133,7 +133,7 @@ _CHILD = textwrap.dedent(
     ray.data.DataContext.get_current().enable_progress_bars = False
     from pdf_entity_extraction_ray.pipelines.kg import run_kg
     res = run_kg(sys.argv[2], sys.argv[3], n_buckets=4, resume=False)
-    print(json.dumps({"edges": res["edges"]}))
+    print(json.dumps({"edges": res["edges"], "nodes": res["nodes"]}))
     ray.shutdown()
     """
 )
@@ -141,10 +141,11 @@ _CHILD = textwrap.dedent(
 
 def test_build_finishes_on_any_session_size(small_corpus, tmp_path):
     """A build at 1, 2 and 3 CPUs finishes within a time bound, and its
-    edges equal the 4-CPU test session's build of the same pages."""
+    edges and nodes (every column) equal the 4-CPU test session's build of
+    the same pages."""
     ref = kg.run_kg(f"{small_corpus}/pages", str(tmp_path / "ref"), n_buckets=4)
-    want = _edge_rows(ref["edges"])
-    assert want
+    want = {name: _rows(ref[name]) for name in ("edges", "nodes")}
+    assert all(want.values())
     path = [REPO] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     for n_cpus in (1, 2, 3):
@@ -154,5 +155,6 @@ def test_build_finishes_on_any_session_size(small_corpus, tmp_path):
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        edges = json.loads(proc.stdout.strip().splitlines()[-1])["edges"]
-        assert _edge_rows(edges) == want, f"edges differ at num_cpus={n_cpus}"
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        for name in ("edges", "nodes"):
+            assert _rows(got[name]) == want[name], f"{name} differ at num_cpus={n_cpus}"

@@ -8,12 +8,13 @@ scale claim: the distributed linking + join-rewrite path produces the
 SAME graph as the driver/broadcast path on a tail-bearing corpus.
 
 The full-size demonstration (>10^6 distinct surfaces through the auto
-switch) runs via ``scripts/scale_distributed_kg.py``; results in
+switch) runs via ``scripts/scale_kg_run.py``; results in
 BASELINE.md.
 """
 
 import re
 
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
@@ -26,6 +27,7 @@ from pdf_entity_extraction_ray.sources.corpus import (
     write_corpus,
 )
 from pdf_entity_extraction_ray.stages.linking import surfaces_match
+from pdf_entity_extraction_ray.state import lineage
 
 
 def test_tail_pair_merges_and_crosses_do_not():
@@ -101,16 +103,19 @@ def tail_corpus(tmp_path_factory):
 
 
 def test_tail_pipeline_mode_equality(tail_corpus, tmp_path_factory):
-    """Broadcast/driver vs distributed/join over a tail-bearing corpus:
-    identical nodes, edges, canonical triples.  This is the correctness
-    gate the >10^6-surface run in scripts/scale_distributed_kg.py relies
-    on (same code path, bigger universe)."""
+    """Every driver/distributed x broadcast/join plan over a tail-bearing
+    corpus: identical surface map, nodes, edges and canonical triples (every
+    column) and cluster counts.  This is the correctness gate the
+    >10^6-surface run in scripts/scale_kg_run.py relies on (same
+    code path, bigger universe)."""
     from pdf_entity_extraction_ray.pipelines.kg import run_kg
 
     pats = [(TAIL_PATTERN, TAIL_TYPE)]
     outs = {}
     for mode, (lm, rm) in {
         "drv": ("driver", "broadcast"),
+        "drv_join": ("driver", "join"),
+        "dst_bcast": ("distributed", "broadcast"),
         "dst": ("distributed", "join"),
     }.items():
         out = str(tmp_path_factory.mktemp(f"tail_{mode}"))
@@ -118,21 +123,24 @@ def test_tail_pipeline_mode_equality(tail_corpus, tmp_path_factory):
             f"{tail_corpus}/pages", out, n_buckets=4, concurrency=2,
             linking_mode=lm, rewrite_mode=rm, extra_patterns=pats,
         )
-        assert res["resolved_linking_mode"] == lm
+        assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == (lm, rm)
         outs[mode] = out
+    # the linking manifest records the cluster count under every plan
+    want = pc.count_distinct(
+        pads.dataset(f"{outs['drv']}/surface_map").to_table().column("node_id")
+    ).as_py()
+    assert want > 0
+    for out in outs.values():
+        assert lineage.load_manifest(out, "linking")["clusters"] == want
 
-    def table_key(out, name, cols):
+    def table_key(out, name):
         t = pads.dataset(f"{out}/{name}", partitioning="hive").to_table()
-        return sorted(zip(*[t.column(c).to_pylist() for c in cols]))
+        return sorted(zip(*[t.column(c).to_pylist() for c in sorted(t.column_names)]))
 
-    for name, cols in [
-        ("nodes", ["node_id", "canonical", "type", "n_mentions", "aliases"]),
-        ("edges", ["src_id", "pred", "dst_id", "weight"]),
-        ("triples_canonical",
-         ["url", "seg_id", "src_id", "pred", "dst_id",
-          "subj_canonical", "obj_canonical"]),
-    ]:
-        assert table_key(outs["drv"], name, cols) == table_key(outs["dst"], name, cols), name
+    for name in ("surface_map", "nodes", "edges", "triples_canonical"):
+        want_rows = table_key(outs["drv"], name)
+        for mode in ("drv_join", "dst_bcast", "dst"):
+            assert table_key(outs[mode], name) == want_rows, (name, mode)
 
     # every tail cluster resolves to its full form, exactly once
     nodes = pads.dataset(f"{outs['dst']}/nodes").to_table()
