@@ -12,8 +12,9 @@ two parallelism levels (default 4 and 16 CPUs, taskset-pinned) on the
 SAME input and report both throughputs + scaling efficiency (the sandbox
 evidence protocol for the north_rule's N -> 4N cluster criterion).
 
-``GRAFT_KG_MODES="distributed,join"`` benches the 100x scale-path
-configuration of run_kg instead of the auto-resolved default.
+``GRAFT_KG_MODES="distributed,join"`` benches run_kg's 100x scale plan
+(distributed linking + join rewrites, forced with ``auto_threshold=0``)
+instead of the plan the distinct-surface count picks.
 """
 
 from __future__ import annotations
@@ -72,14 +73,16 @@ def ensure_corpus(sf: float) -> tuple[str, int]:
 
 
 def _kg_modes() -> dict:
-    """Optional scale-path override: GRAFT_KG_MODES="distributed,join"
-    benches the 100x-relevant configuration (distributed linking +
-    shuffle-join rewrites); default lets run_kg's auto mode decide."""
+    """Optional scale-plan override: GRAFT_KG_MODES="distributed,join"
+    benches the 100x-relevant plan (distributed linking + shuffle-join
+    rewrites) by dropping run_kg's threshold to 0; default lets the
+    distinct-surface count decide.  run_kg has no other plan to force."""
     modes = os.environ.get("GRAFT_KG_MODES", "")
     if not modes:
         return {}
-    linking, rewrite = modes.split(",")
-    return {"linking_mode": linking, "rewrite_mode": rewrite}
+    if modes != "distributed,join":
+        raise ValueError(f"GRAFT_KG_MODES={modes!r}: only 'distributed,join' can be forced")
+    return {"auto_threshold": 0}
 
 
 def run_headline(num_cpus: int, sf: float) -> dict:

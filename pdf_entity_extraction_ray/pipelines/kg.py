@@ -7,9 +7,10 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
                    Parquet, one fused Ray task per block
                    (bucket-partitioned by hash(url))
   P2 explodes    : annotations -> flat mentions and triples Parquet
-  P3 linking     : mentions -> distinct surfaces -> LSH blocks -> pair test
-                   -> union-find -> surface map (an Arrow table, also
-                   written as Parquet)
+  P3 linking     : mentions -> distinct surfaces (whose count picks the
+                   plan) -> LSH blocks -> pair test -> union-find (label
+                   propagation past the threshold) -> surface map (an
+                   Arrow table, also written as Parquet)
   P4 graph       : mentions + surface map -> nodes Parquet, concurrently
                    with triples + surface map -> canonical triples -> edges
 
@@ -69,16 +70,16 @@ from ..state import lineage
 
 CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
 
-# ``linking_mode="auto"`` / ``rewrite_mode="auto"`` pick the scale paths
-# (distributed label propagation / shuffle-join rewrites) when the distinct
-# (type, surface) universe exceeds this, else the faster broadcast paths.
-# Rationale: the broadcast surface map is an Arrow table of 54-80 B per
-# entry (54 B on 200,000 synthetic entries, 80 B on a 3,396-entry long-tail
-# map), so 10^6 entries is ~55-80 MB in the object store, which every
-# worker reads zero-copy.  The value dates from when the map was a Python
-# dict (377 B per entry, ~0.4 GB at 10^6); no measurement of where the join
-# plan starts to win has moved it since.  Outputs are identical across
-# modes (tested), so the switch is purely an execution-strategy decision.
+# P3 picks the scale plan (distributed label propagation, then shuffle-join
+# rewrites) when the distinct (type, surface) universe exceeds this, else
+# the driver plan (union-find, then the broadcast rewrites).  Rationale:
+# the broadcast surface map is an Arrow table of 54-80 B per entry (54 B on
+# 200,000 synthetic entries, 80 B on a 3,396-entry long-tail map), so 10^6
+# entries is ~55-80 MB in the object store, which every worker reads
+# zero-copy.  The value dates from when the map was a Python dict (377 B
+# per entry, ~0.4 GB at 10^6); no measurement of where the join plan starts
+# to win has moved it since.  Outputs are identical across the two plans
+# (tested), so the switch is purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
 
 
@@ -309,14 +310,16 @@ def _explode_phase(
     explode_fn,
     fp: str,
     resume: bool,
-    columns: list[str] | None = None,
+    columns: list[str],
+    nblocks: int,
 ) -> str:
     """annotations -> flat table via a stateless explode (whole-phase
     manifest; the artifact keeps the hive ``bucket`` partitioning).
 
     The annotations artifact is bucket-clustered on disk, and the explode
     preserves block order, so the hive write needs no shuffle; ``columns``
-    prunes the read (each explode consumes only its own nested column).
+    prunes the read (each explode consumes only its own nested column) and
+    ``nblocks`` sets its block count.
 
     Mirrors the annotations artifact's GENERATIONS (incremental appends):
     each annotation gen explodes into its own ``g<k>`` subdir, keyed by the
@@ -351,9 +354,6 @@ def _explode_phase(
     if not todo and manifest is not None:
         return table_dir
     with lineage.PhaseTimer() as timer:
-        import ray
-
-        nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
         for g in todo:
             ds = ray.data.read_parquet(
                 os.path.join(annotations_dir, g),
@@ -382,8 +382,6 @@ def run_kg(
     batch_size: int = 1024,
     resume: bool = True,
     override_num_blocks: int | None = None,
-    linking_mode: str = "auto",
-    rewrite_mode: str = "auto",
     auto_threshold: int = AUTO_DISTRIBUTED_THRESHOLD,
     tagger_ray_remote_args: dict | None = None,
     extra_patterns: list[tuple[str, str]] | None = None,
@@ -397,28 +395,24 @@ def run_kg(
     ``concurrency`` caps the tagging tasks in flight (``None``: Ray Data's
     default); ``tagger_ray_remote_args`` (e.g. ``num_gpus``) go to each.
 
-    ``linking_mode``: ``"driver"`` closes connected components on the
-    driver (exact, right up to ~10^7 distinct surfaces); ``"distributed"``
-    runs the label-propagation path (stages/linking.py
-    ``link_entities_distributed``) whose surface map never touches the
-    driver until the P4 broadcast — identical output by construction
-    (tests assert row equality).
+    Linking counts the distinct (type, surface) universe (its own first
+    shuffle, computed once) and picks one plan for P3 and P4 from it:
 
-    ``rewrite_mode``: ``"broadcast"`` ships the finished surface map (an
-    Arrow table) once via ``ray.put`` and resolves rows with Arrow
-    ``index_in`` + ``take`` lookups (the small-side assumption);
-    ``"join"`` rewrites mentions and triples through hash-shuffle
-    ``Dataset.join``s against the surface-map PARQUET (stages/graph.py
-    ``canonical_triples_join`` / ``build_nodes_join``) — with
-    ``linking_mode="distributed"`` only the map's node_id column (for the
-    cluster count) is ever read on the driver.  Identical outputs (tested).
+    - at most ``auto_threshold`` (:data:`AUTO_DISTRIBUTED_THRESHOLD`): the
+      driver plan.  Union-find closes the components on the driver, and
+      P4 ships the surface map (an Arrow table) once via ``ray.put`` and
+      resolves rows with Arrow ``index_in`` + ``take`` lookups.
+    - above it: the scale plan.  Label propagation
+      (stages/linking.py ``link_entities_distributed``) writes the map
+      straight to Parquet, and P4 rewrites mentions and triples through
+      hash-shuffle ``Dataset.join``s against it (stages/graph.py
+      ``build_nodes_join`` / ``canonical_triples_join``); the driver reads
+      only the map's node_id column, for the cluster count.
 
-    Both default to ``"auto"``: the pipeline counts the distinct
-    (type, surface) universe (the cheap first shuffle linking needs
-    anyway, computed once and reused) and picks the scale paths when it
-    exceeds ``auto_threshold`` (:data:`AUTO_DISTRIBUTED_THRESHOLD`), else
-    the broadcast fast paths — so a 100x-scale run gets the right plan
-    without flag knowledge, and small corpora keep the low-latency path."""
+    Outputs are identical under both plans (tested).  The linking manifest
+    records the plan with the count and threshold that chose it, and a
+    graph rebuild over reused linking runs the recorded plan.  The result's
+    ``resolved_linking_mode`` / ``resolved_rewrite_mode`` name it."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
@@ -463,57 +457,43 @@ def run_kg(
     # fsspec shim pre-imports the one lazy module that races.
     from concurrent.futures import ThreadPoolExecutor
 
+    # every read after tagging (explodes, linking, graph) takes 2 blocks/CPU
+    nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
     with ThreadPoolExecutor(max_workers=2) as pool:
         mentions_fut = pool.submit(
             _explode_phase, out_dir, "mentions", annotations_dir,
             explode_mentions_batch,
             lineage.fingerprint({**base_fp, "phase": "mentions"}), resume,
-            ["url", "seg_id", "lang", "seg_offset", "mentions", "bucket"],
+            ["url", "seg_id", "lang", "seg_offset", "mentions", "bucket"], nblocks,
         )
         triples_fut = pool.submit(
             _explode_phase, out_dir, "triples", annotations_dir,
             explode_triples_batch,
             lineage.fingerprint({**base_fp, "phase": "triples"}), resume,
-            ["url", "seg_id", "triples", "bucket"],
+            ["url", "seg_id", "triples", "bucket"], nblocks,
         )
         mentions_dir = mentions_fut.result()
         triples_dir = triples_fut.result()
 
     # P3: linking — the surface map is itself a checkpointed Parquet artifact.
-    # Fingerprints use the REQUESTED mode strings (incl. "auto"): the modes
-    # are execution strategies with identical outputs (tested), so an auto
-    # resolution flip never silently invalidates a sound artifact.
     # Linking and graph are GLOBAL aggregates, so (unlike the per-page
     # phases, which absorb appends as delta generations) their
     # fingerprints include the full input-content snapshot: any corpus
     # growth recomputes them — over mentions/triples that were only
-    # delta-tagged upstream.
+    # delta-tagged upstream.  The plan is not fingerprinted: both plans give
+    # identical outputs (tested), so a new threshold never invalidates a
+    # sound artifact.
     snap_fp = lineage.fingerprint({"files": lineage.input_snapshot(pages_path)})
-    fp_link = lineage.fingerprint(
-        {**base_fp, "phase": "linking", "mode": linking_mode, "pages_snap": snap_fp}
-    )
+    fp_link = lineage.fingerprint({**base_fp, "phase": "linking", "pages_snap": snap_fp})
     surface_map_dir = os.path.join(out_dir, "surface_map")
-    resolved_rewrite = rewrite_mode
-    resolved_linking = linking_mode
     surface_map = None  # the Arrow surface map, when it is on the driver
+    link = lineage.load_manifest(out_dir, "linking") if resume else None
+    relinked = link is None or link["fingerprint"] != fp_link
     with lineage.PhaseTimer() as t_link:
-        relinked = not (resume and lineage.phase_complete(out_dir, "linking", fp_link))
-        if not relinked:
-            import pyarrow.dataset as pads
-
-            n_surfaces = pads.dataset(surface_map_dir).count_rows()
-            # resolve modes from the SAME measure a fresh run uses (the
-            # distinct count stored in the manifest); fall back to the
-            # surface-map row count for manifests from older runs
-            _m = lineage.load_manifest(out_dir, "linking") or {}
-            _nd = _m.get("n_distinct", n_surfaces)
-            clusters = _m.get("clusters")
-            if resolved_linking == "auto":
-                resolved_linking = "distributed" if _nd > auto_threshold else "driver"
-            if resolved_rewrite == "auto":
-                resolved_rewrite = "join" if _nd > auto_threshold else "broadcast"
-        else:
+        if relinked:
             import shutil
+
+            from ..stages.linking import distinct_surfaces
 
             # drop the manifest BEFORE the artifact: a crash mid-rebuild
             # must never leave a complete-looking manifest over a partial
@@ -522,64 +502,42 @@ def run_kg(
             lineage.invalidate(out_dir, "linking")
             shutil.rmtree(surface_map_dir, ignore_errors=True)
             # prune at the read: linking consumes only (type, surface)
-            mentions_ds = ray.data.read_parquet(
-                mentions_dir,
-                columns=["type", "surface"],
-                override_num_blocks=2 * int(ray.cluster_resources().get("CPU", 16)),
+            distinct = distinct_surfaces(
+                ray.data.read_parquet(
+                    mentions_dir, columns=["type", "surface"], override_num_blocks=nblocks
+                )
             )
-            distinct = None
-            n_distinct = None
-            if linking_mode == "auto" or rewrite_mode == "auto":
-                from ..stages.linking import distinct_surfaces
-
-                # the distinct agg is linking's own first shuffle — compute
-                # it once, read its count, and hand the materialized result
-                # to whichever path wins (no duplicated work)
-                distinct = distinct_surfaces(mentions_ds)
-                n_distinct = distinct.count()
-                if linking_mode == "auto":
-                    resolved_linking = (
-                        "distributed" if n_distinct > auto_threshold else "driver"
-                    )
-                if rewrite_mode == "auto":
-                    resolved_rewrite = "join" if n_distinct > auto_threshold else "broadcast"
-            if resolved_linking == "distributed":
+            # the one plan decision, for P3 and P4 alike
+            n_distinct = distinct.count()
+            scale = n_distinct > auto_threshold
+            if scale:
                 from ..stages.linking import link_entities_distributed
 
-                # surface map written straight from the Dataset; only the
-                # broadcast plan reads it back to the driver, the join plan
-                # reads its node_id column (P4 joins read the parquet)
-                link_entities_distributed(mentions_ds, distinct=distinct).write_parquet(
-                    surface_map_dir
-                )
-                if resolved_rewrite == "join":
-                    node_ids = pq.read_table(surface_map_dir, columns=["node_id"]).column("node_id")
-                else:
-                    surface_map = pq.read_table(surface_map_dir)
-                    node_ids = surface_map.column("node_id")
-                n_surfaces = len(node_ids)
+                # surface map written straight from the Dataset; the driver
+                # reads only its node_id column (P4 joins read the Parquet)
+                link_entities_distributed(distinct).write_parquet(surface_map_dir)
+                node_ids = pq.read_table(surface_map_dir, columns=["node_id"]).column("node_id")
             else:
-                surface_map, n_surfaces = link_entities(mentions_ds, distinct=distinct)
+                surface_map = link_entities(distinct)
                 os.makedirs(surface_map_dir, exist_ok=True)
                 pq.write_table(surface_map, os.path.join(surface_map_dir, "part-0.parquet"))
                 node_ids = surface_map.column("node_id")
-            clusters = pc.count_distinct(node_ids).as_py()
+            n_surfaces = len(node_ids)
+            link = {
+                "clusters": pc.count_distinct(node_ids).as_py(),
+                "plan": ["distributed", "join"] if scale else ["driver", "broadcast"],
+                "n_distinct": n_distinct,
+                "auto_threshold": auto_threshold,
+            }
     if relinked:
-        extra = {"clusters": clusters}
-        if n_distinct is not None:
-            extra["n_distinct"] = n_distinct
-        lineage.write_manifest(out_dir, "linking", fp_link, n_surfaces, t_link.wall, extra=extra)
+        lineage.write_manifest(out_dir, "linking", fp_link, n_surfaces, t_link.wall, extra=link)
+    else:
+        n_surfaces = link["rows"]
+    # a graph rebuild over reused linking runs the plan linking recorded
+    linking_plan, rewrite_plan = link["plan"]
 
     # P4: graph materialize
-    fp_graph = lineage.fingerprint(
-        {
-            **base_fp,
-            "phase": "graph",
-            "rewrite": rewrite_mode,
-            "linking": linking_mode,
-            "pages_snap": snap_fp,
-        }
-    )
+    fp_graph = lineage.fingerprint({**base_fp, "phase": "graph", "pages_snap": snap_fp})
     nodes_dir = os.path.join(out_dir, "nodes")
     edges_dir = os.path.join(out_dir, "edges")
     canon_dir = os.path.join(out_dir, "triples_canonical")
@@ -588,7 +546,7 @@ def run_kg(
     # broadcast path — a fully-cached rerun (or the join path) must not
     # pay the read + object-store copy
     surface_map_ref = None
-    if recomputed_graph and resolved_rewrite != "join":
+    if recomputed_graph and rewrite_plan == "broadcast":
         if surface_map is None:  # linking was reused
             surface_map = pq.read_table(surface_map_dir)
         surface_map_ref = ray.put(surface_map)
@@ -609,14 +567,13 @@ def run_kg(
 
             from ..stages.graph import build_edges_from_canonical
 
-            nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
             mentions_read = ray.data.read_parquet(
                 mentions_dir,
                 columns=["type", "surface", "url"],
                 override_num_blocks=nblocks,
             )
             triples_read = ray.data.read_parquet(triples_dir, override_num_blocks=nblocks)
-            if resolved_rewrite == "join":
+            if rewrite_plan == "join":
                 from ..stages.graph import build_nodes_join, canonical_triples_join
 
                 def sm_read():
@@ -653,9 +610,10 @@ def run_kg(
 
         n_nodes = pads.dataset(nodes_dir).count_rows()
         n_edges = pads.dataset(edges_dir).count_rows()
-        extra = {"nodes": n_nodes, "edges": n_edges, "distinct_surfaces": n_surfaces}
-        if clusters is not None:
-            extra["clusters"] = clusters
+        extra = {
+            "nodes": n_nodes, "edges": n_edges,
+            "distinct_surfaces": n_surfaces, "clusters": link["clusters"],
+        }
         lineage.write_manifest(
             out_dir, "graph", fp_graph, n_nodes + n_edges, t_graph.wall, extra=extra
         )
@@ -672,8 +630,8 @@ def run_kg(
         "n_edges": m.get("edges"),
         "distinct_surfaces": n_surfaces,
         "link_wall_sec": round(t_link.wall, 3),
-        "resolved_linking_mode": resolved_linking,
-        "resolved_rewrite_mode": resolved_rewrite,
+        "resolved_linking_mode": linking_plan,
+        "resolved_rewrite_mode": rewrite_plan,
     }
 
 

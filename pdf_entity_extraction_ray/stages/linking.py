@@ -410,9 +410,9 @@ def _sum_surface_counts(rows: pa.Table) -> pa.Table:
 
 def distinct_surfaces(mentions_ds):
     """mentions Dataset -> materialized distinct (type, surface, n)
-    Dataset — the shared first shuffle of both linking paths (exposed so
-    callers that need the distinct COUNT first, e.g. the pipeline's
-    auto mode selection, compute it once and pass the result back in)."""
+    Dataset — the shared first shuffle of both linking paths, which take
+    it as their input (the pipeline reads its count first, to pick the
+    plan)."""
     return part_keyed_reduce(
         mentions_ds,
         partial_surface_counts,
@@ -423,19 +423,15 @@ def distinct_surfaces(mentions_ds):
     ).materialize()
 
 
-def link_entities(mentions_ds, *, consolidate=None, distinct=None):
-    """mentions Dataset -> (surface map, distinct linked surface count).
+def link_entities(distinct, *, consolidate=None):
+    """:func:`distinct_surfaces` Dataset -> surface map.
 
     The surface map is an Arrow table of :data:`SURFACE_MAP_SCHEMA`, one
     row per distinct linked (type, surface), sorted by (type, surface);
     callers broadcast it with ``ray.put`` for the rewrite stages.
-    ``distinct``: optionally a precomputed :func:`distinct_surfaces`
-    result (skips the first shuffle).
     """
     import ray
 
-    if distinct is None:
-        distinct = distinct_surfaces(mentions_ds)
     # collect the (type, surface) universe for union-find
     universe: list[tuple[str, str]] = []
     for ref in distinct.to_arrow_refs():
@@ -467,7 +463,7 @@ def link_entities(mentions_ds, *, consolidate=None, distinct=None):
         },
         schema=SURFACE_MAP_SCHEMA,
     )
-    return surface_map.sort_by([("type", "ascending"), ("surface", "ascending")]), len(universe)
+    return surface_map.sort_by([("type", "ascending"), ("surface", "ascending")])
 
 
 # --------------------------------------------------------------------------
@@ -878,25 +874,19 @@ def _singleton_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def link_entities_distributed(
-    mentions_ds, *, consolidate=None, distinct=None, num_partitions: int | None = None
-):
-    """mentions Dataset -> surface-map Dataset (type, surface, node_id,
-    canonical) with NO driver-side universe: the documented scale path of
-    :func:`link_entities` (same blocking + pair predicates; union-find
-    replaced by :func:`label_propagation_components`; singleton surfaces
-    bypass propagation through a left-anti join).
+def link_entities_distributed(distinct, *, consolidate=None, num_partitions: int | None = None):
+    """:func:`distinct_surfaces` Dataset -> surface-map Dataset (type,
+    surface, node_id, canonical) with NO driver-side universe: the scale
+    path of :func:`link_entities` (same blocking + pair predicates;
+    union-find replaced by :func:`label_propagation_components`; singleton
+    surfaces bypass propagation through a left-anti join).
 
     Identical output to the driver path — a test asserts row-for-row
     equality — so the pipeline can switch on universe size without
-    changing results.  ``distinct``: optionally a precomputed
-    :func:`distinct_surfaces` result (skips the first shuffle);
-    ``num_partitions`` overrides the locally-capped join partition count
-    on a real cluster.
+    changing results.  ``num_partitions`` overrides the locally-capped
+    join partition count on a real cluster.
     """
     n_part = num_partitions or _join_parts()
-    if distinct is None:
-        distinct = distinct_surfaces(mentions_ds)
     distinct = (
         distinct.map_batches(
             lambda b: (

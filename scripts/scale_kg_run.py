@@ -5,7 +5,7 @@ Two judged claims, one runner:
 1. The distributed linking + join-rewrite path works AT ITS DESIGN POINT:
    a tail-bearing corpus (``--tail-every 1``) pushes the distinct
    (type, surface) universe past AUTO_DISTRIBUTED_THRESHOLD (10^6), so
-   ``linking_mode="auto"`` must resolve to distributed/join and complete.
+   run_kg must pick the distributed/join plan and complete.
    Output correctness is gated separately by
    tests/test_tail_scale.py::test_tail_pipeline_mode_equality (same code
    path, downsampled universe, byte-equality vs the driver path).

@@ -313,16 +313,14 @@ def test_determinism_across_parallelism(small_corpus, tmp_path_factory):
 
 
 def test_pipeline_distributed_linking_identical(kg_result, tmp_path_factory):
-    """run_kg(linking_mode='distributed', rewrite_mode='join') — the fully
-    driverless path (BSP components + shuffle-join rewrites, the surface
-    map never on the driver) — must produce the same graph as the default
-    union-find + broadcast path."""
+    """run_kg(auto_threshold=0) — the fully driverless scale plan (BSP
+    components + shuffle-join rewrites, the surface map never on the
+    driver) — must produce the same graph as the default union-find +
+    broadcast plan."""
     corpus, out_driver, _ = kg_result
     out2 = str(tmp_path_factory.mktemp("kg_dist"))
-    run_kg(
-        f"{corpus}/pages", out2, n_buckets=4, concurrency=2,
-        linking_mode="distributed", rewrite_mode="join",
-    )
+    res = run_kg(f"{corpus}/pages", out2, n_buckets=4, concurrency=2, auto_threshold=0)
+    assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == ("distributed", "join")
 
     def table_key(out, name, cols):
         t = pads.dataset(f"{out}/{name}", partitioning="hive").to_table()

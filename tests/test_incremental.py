@@ -233,3 +233,31 @@ def test_empty_pages_dir_raises_cleanly(tmp_path_factory):
 
     with _pytest.raises(ValueError, match="no parquet input"):
         run_kg(empty, out, n_buckets=4)
+
+
+def test_graph_rebuild_runs_the_plan_linking_recorded(small_corpus, tmp_path_factory):
+    """The plan is chosen once, where linking runs, and the linking
+    manifest records it with the count and threshold that chose it.  A
+    graph rebuild over reused linking runs and reports that plan, even when
+    the new threshold would pick the other one."""
+    from pdf_entity_extraction_ray.pipelines.kg import AUTO_DISTRIBUTED_THRESHOLD
+
+    pages = f"{small_corpus}/pages"
+    out = str(tmp_path_factory.mktemp("plan_out"))
+    run_kg(pages, out, n_buckets=4, concurrency=2)
+    link = lineage.load_manifest(out, "linking")
+    assert link["plan"] == ["driver", "broadcast"]
+    assert link["auto_threshold"] == AUTO_DISTRIBUTED_THRESHOLD
+    assert 0 < link["rows"] <= link["n_distinct"] <= AUTO_DISTRIBUTED_THRESHOLD
+
+    os.remove(f"{out}/_lineage/graph.json")
+    res = run_kg(pages, out, n_buckets=4, concurrency=2, resume=True, auto_threshold=0)
+    assert lineage.load_manifest(out, "linking") == link
+    assert lineage.load_manifest(out, "graph") is not None
+    assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == ("driver", "broadcast")
+
+    clean = str(tmp_path_factory.mktemp("plan_clean"))
+    run_kg(pages, clean, n_buckets=4, concurrency=2)
+    for name in ("nodes", "edges", "triples_canonical"):
+        got, want = _sorted_table(out, name), _sorted_table(clean, name)
+        assert got.num_rows and got.equals(want), name

@@ -13,6 +13,7 @@ import ray.data
 from pdf_entity_extraction_ray.stages.extract import extract_segments_batch
 from pdf_entity_extraction_ray.stages.linking import (
     SURFACE_MAP_SCHEMA,
+    distinct_surfaces,
     label_propagation_components,
     link_entities,
     link_entities_distributed,
@@ -52,16 +53,16 @@ def _tag_batch_fn(gaz):
 
 
 def test_distributed_matches_driver_path(small_corpus):
-    mentions = _mentions_ds(small_corpus)
-    surface_map, n_surfaces = link_entities(mentions)
+    distinct = distinct_surfaces(_mentions_ds(small_corpus))
+    surface_map = link_entities(distinct)
     by_key = [("type", "ascending"), ("surface", "ascending")]
-    assert surface_map.num_rows == n_surfaces > 0
+    assert surface_map.num_rows > 0
     assert surface_map.schema == SURFACE_MAP_SCHEMA
     assert surface_map.equals(surface_map.sort_by(by_key))
 
     got = pa.concat_tables(
         b
-        for b in link_entities_distributed(mentions).iter_batches(batch_format="pyarrow")
+        for b in link_entities_distributed(distinct).iter_batches(batch_format="pyarrow")
         if b.num_rows and "type" in b.column_names
     ).sort_by(by_key)
     assert got.schema == SURFACE_MAP_SCHEMA

@@ -667,6 +667,20 @@ class TestLinkingJoinParts:
 
 
 class TestAutoScalePathSwitch:
+    def test_bench_forces_only_the_scale_plan(self, monkeypatch):
+        """bench.py's GRAFT_KG_MODES forces the one plan run_kg can be
+        forced into (auto_threshold=0); any other value raises."""
+        import bench
+
+        monkeypatch.delenv("GRAFT_KG_MODES", raising=False)
+        assert bench._kg_modes() == {}
+        monkeypatch.setenv("GRAFT_KG_MODES", "distributed,join")
+        assert bench._kg_modes() == {"auto_threshold": 0}
+        for bad in ("driver,join", "distributed,broadcast", "driver,broadcast"):
+            monkeypatch.setenv("GRAFT_KG_MODES", bad)
+            with pytest.raises(ValueError, match="distributed,join"):
+                bench._kg_modes()
+
     def test_auto_resolves_both_ways_with_identical_outputs(
         self, small_corpus, tmp_path_factory
     ):

@@ -103,27 +103,26 @@ def tail_corpus(tmp_path_factory):
 
 
 def test_tail_pipeline_mode_equality(tail_corpus, tmp_path_factory):
-    """Every driver/distributed x broadcast/join plan over a tail-bearing
-    corpus: identical surface map, nodes, edges and canonical triples (every
-    column) and cluster counts.  This is the correctness gate the
-    >10^6-surface run in scripts/scale_kg_run.py relies on (same
-    code path, bigger universe)."""
-    from pdf_entity_extraction_ray.pipelines.kg import run_kg
+    """The driver plan (union-find + broadcast) and the scale plan
+    (label propagation + join rewrites, forced with ``auto_threshold=0``)
+    over a tail-bearing corpus: identical surface map, nodes, edges and
+    canonical triples (every column) and cluster counts.  This is the
+    correctness gate the >10^6-surface run in scripts/scale_kg_run.py
+    relies on (same code path, bigger universe)."""
+    from pdf_entity_extraction_ray.pipelines.kg import AUTO_DISTRIBUTED_THRESHOLD, run_kg
 
     pats = [(TAIL_PATTERN, TAIL_TYPE)]
     outs = {}
-    for mode, (lm, rm) in {
-        "drv": ("driver", "broadcast"),
-        "drv_join": ("driver", "join"),
-        "dst_bcast": ("distributed", "broadcast"),
-        "dst": ("distributed", "join"),
-    }.items():
+    for mode, threshold, plan in (
+        ("drv", AUTO_DISTRIBUTED_THRESHOLD, ("driver", "broadcast")),
+        ("dst", 0, ("distributed", "join")),
+    ):
         out = str(tmp_path_factory.mktemp(f"tail_{mode}"))
         res = run_kg(
             f"{tail_corpus}/pages", out, n_buckets=4, concurrency=2,
-            linking_mode=lm, rewrite_mode=rm, extra_patterns=pats,
+            auto_threshold=threshold, extra_patterns=pats,
         )
-        assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == (lm, rm)
+        assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == plan
         outs[mode] = out
     # the linking manifest records the cluster count under every plan
     want = pc.count_distinct(
@@ -139,8 +138,7 @@ def test_tail_pipeline_mode_equality(tail_corpus, tmp_path_factory):
 
     for name in ("surface_map", "nodes", "edges", "triples_canonical"):
         want_rows = table_key(outs["drv"], name)
-        for mode in ("drv_join", "dst_bcast", "dst"):
-            assert table_key(outs[mode], name) == want_rows, (name, mode)
+        assert table_key(outs["dst"], name) == want_rows, name
 
     # every tail cluster resolves to its full form, exactly once
     nodes = pads.dataset(f"{outs['dst']}/nodes").to_table()
