@@ -876,6 +876,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                         "url": pa.array([], pa.string()),
                         "text": pa.array([], pa.string()),
                         "warc_ts": pa.array([], pa.timestamp("us")),
+                        "lang": pa.array([], pa.string()),
                     }
                 )
             url = batch.column("url").combine_chunks()
@@ -904,11 +905,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                         batch.column("text").cast(pa.string()), " ", suffix, ""
                     ),
                     "warc_ts": batch.column("warc_ts").cast(pa.timestamp("us")),
+                    "lang": batch.column("lang"),
                 }
             )
 
         pages = ray.data.read_parquet(
-            f"/tmp/graft_kg/{name}/pages", columns=["url", "text", "warc_ts"]
+            f"/tmp/graft_kg/{name}/pages", columns=["url", "text", "warc_ts", "lang"]
         ).map_batches(plant, batch_format="pyarrow")
         return relative_date_mentions(pages)
 

@@ -509,7 +509,7 @@ def main() -> None:
             fromlist=["relative_date_mentions"],
         ).relative_date_mentions(
             ray.data.read_parquet(
-                f"{pages_path}/pages", columns=["url", "text", "warc_ts"]
+                f"{pages_path}/pages", columns=["url", "text", "warc_ts", "lang"]
             )
         ),
         "kg_heavy_tokens": lambda: __import__(

@@ -119,14 +119,15 @@ _WEEKDAYS_EN = {
     "friday": 4, "saturday": 5, "sunday": 6,
 }
 
-_DAY_WORDS = {
-    # en / es / fr / de / pt single-word forms
-    "today": 0, "yesterday": -1, "tomorrow": 1,
-    "hoy": 0, "ayer": -1, "mañana": 1, "manana": 1,
-    "aujourd'hui": 0, "hier": -1, "demain": 1,
-    "heute": 0, "gestern": -1, "morgen": 1,
-    "hoje": 0, "ontem": -1, "amanhã": 1, "amanha": 1,
+# single-word forms per page language
+_DAY_WORDS_BY_LANG = {
+    "en": {"today": 0, "yesterday": -1, "tomorrow": 1},
+    "es": {"hoy": 0, "ayer": -1, "mañana": 1, "manana": 1},
+    "fr": {"aujourd'hui": 0, "hier": -1, "demain": 1},
+    "de": {"heute": 0, "gestern": -1, "morgen": 1},
+    "pt": {"hoje": 0, "ontem": -1, "amanhã": 1, "amanha": 1},
 }
+_DAY_WORDS = {w: d for words in _DAY_WORDS_BY_LANG.values() for w, d in words.items()}
 
 _WD_ALT = "|".join(sorted(_WEEKDAYS_EN, key=len, reverse=True))
 _DAYWORD_ALT = "|".join(
@@ -168,6 +169,18 @@ def parse_relative_date(text: str, anchor: _dt.date) -> _dt.date | None:
         n = int(g["n2"]) * (7 if g["u2"].lower() == "week" else 1)
         return anchor + _dt.timedelta(days=n)
     return anchor + _dt.timedelta(days=_DAY_WORDS[g["word"].lower()])
+
+
+def relative_match_in_lang(match: re.Match, lang: str | None) -> bool:
+    """Whether a :data:`RELATIVE_RE` match reads as a date on a page in
+    ``lang``.  The English forms apply to every page, as the weekday and
+    N-days forms do; another language's day-word only to pages in that
+    language (German "hier" is "here", not French "yesterday")."""
+    word = match.group("word")
+    if word is None:
+        return True
+    word = word.lower()
+    return word in _DAY_WORDS_BY_LANG["en"] or word in _DAY_WORDS_BY_LANG.get(lang, {})
 
 
 def parse_date_anchored(text: str, anchor: _dt.date | None) -> _dt.date | None:

@@ -838,20 +838,23 @@ def relative_date_mentions(pages_ds):
     "next monday"/"yesterday") made deterministic: every relative
     expression in a page's text resolves against THAT PAGE's crawl date
     (``warc_ts``), never a wall clock, so reruns and workers agree.
+    A day-word of another language than English counts only on pages of
+    that ``lang`` (:func:`~..functions.dates.relative_match_in_lang`).
 
     Stateless map_batches (compiled grammar, per-doc scan — the
     tokenizer discipline); emits ``(url, expr, resolved)`` with the
     resolved date as an ISO string (hash-stable)."""
     import datetime as _dt
 
-    from ..functions.dates import RELATIVE_RE, parse_relative_date
+    from ..functions.dates import RELATIVE_RE, parse_relative_date, relative_match_in_lang
 
     def scan(batch: pa.Table) -> pa.Table:
         urls, exprs, dates = [], [], []
         if batch.num_rows and "text" in batch.column_names:
-            for url, text, ts_us in zip(
+            for url, text, lang, ts_us in zip(
                 batch.column("url").to_pylist(),
                 batch.column("text").to_pylist(),
+                batch.column("lang").to_pylist(),
                 batch.column("warc_ts").cast(pa.timestamp("us"))
                 .cast(pa.int64()).to_pylist(),
             ):
@@ -859,6 +862,8 @@ def relative_date_mentions(pages_ds):
                     ts_us / 1e6, tz=_dt.timezone.utc
                 ).date()
                 for m in RELATIVE_RE.finditer(text):
+                    if not relative_match_in_lang(m, lang):
+                        continue
                     d = parse_relative_date(m.group(0), anchor)
                     if d is not None:
                         urls.append(url)
@@ -872,6 +877,6 @@ def relative_date_mentions(pages_ds):
             }
         )
 
-    return pages_ds.select_columns(["url", "text", "warc_ts"]).map_batches(
+    return pages_ds.select_columns(["url", "text", "warc_ts", "lang"]).map_batches(
         scan, batch_format="pyarrow"
     )

@@ -10,7 +10,8 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
   P3 linking     : mentions -> distinct surfaces (whose count picks the
                    plan) -> LSH blocks -> pair test -> union-find (label
                    propagation past the threshold) -> surface map (an
-                   Arrow table, also written as Parquet)
+                   Arrow table, also written as Parquet); an append
+                   extends the driver plan's persisted block index instead
   P4 graph       : mentions + surface map -> nodes Parquet, concurrently
                    with triples + surface map -> canonical triples -> edges
 
@@ -23,10 +24,14 @@ stage is a streaming Dataset transform.
 a new snapshot lands as new Parquet files next to the old ones): the
 per-page phases (P1 tagging — the dominant cost — and the P2 explodes)
 record which input files each output GENERATION consumed and process only
-new files into new ``g<k>`` subdirs, while the global aggregate phases
-(P3 linking, P4 graph) fingerprint the full input snapshot and recompute
-over the union.  Re-running after an append therefore costs
-O(new pages) tagging + O(corpus) linking/graph, never O(corpus) model
+new files into new ``g<k>`` subdirs.  P3 linking records the mentions
+generations it consumed and keeps its block index (``linking_index/``,
+beside ``surface_map/``); under the driver plan an append block-keys and
+pair-tests only its new surfaces against that index on the driver, with
+no Ray execution, and reruns union-find over the stored and new pairs.
+P4 graph fingerprints the full input snapshot and recomputes over the
+union.  Re-running after an append therefore costs O(new pages) tagging
+and pair tests + O(corpus) union-find/graph, never O(corpus) model
 inference.  Generalizes the reference's per-document skip-if-cached
 (src/cache_data.py:15-16) to whole-corpus delta processing.
 """
@@ -65,7 +70,7 @@ from ..sources.corpus import cached_catalog, catalog_gazetteer
 from ..stages.annotate import Annotator, explode_mentions_batch, explode_triples_batch
 from ..stages.extract import extract_segments_batch
 from ..stages.graph import build_nodes, canonical_triples
-from ..stages.linking import link_entities
+from ..stages.linking import BlockIndex, block_index, extend_index, link_entities
 from ..state import lineage
 
 CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
@@ -370,6 +375,42 @@ def _explode_phase(
     return table_dir
 
 
+def _link_delta(
+    link: dict | None, gens: dict, mentions_dir: str, index_dir: str, auto_threshold: int
+):
+    """The driver-plan linking of an append, with no Ray execution, or
+    None when the append needs a full re-link.
+
+    It runs when the last linking (``link``, its manifest) took the driver
+    plan, its block index is complete on disk, and every mentions
+    generation it consumed is still there with the same tag.  The new
+    generations' (type, surface) rows then extend the index
+    (:func:`~..stages.linking.extend_index`), unless the union passes
+    ``auto_threshold`` (the scale plan).  Returns (the union's index, the
+    increment to persist, linking counts)."""
+    if link is None or link.get("plan") != ["driver", "broadcast"] or not link.get("index"):
+        return None
+    done = link.get("gens", {})
+    if any(gens.get(g) != tag for g, tag in done.items()):
+        return None
+    index = BlockIndex.read(index_dir, link["index"])
+    if index is None:
+        return None
+    import pyarrow.dataset as pads
+
+    seen = pa.concat_tables(
+        pads.dataset(os.path.join(mentions_dir, g), partitioning="hive").to_table(
+            columns=["type", "surface"]
+        )
+        for g in gens
+        if g not in done
+    )
+    merged, increment, counts = extend_index(index, seen)
+    if merged.surfaces.num_rows > auto_threshold:
+        return None
+    return merged, increment, counts
+
+
 def run_kg(
     pages_path: str,
     out_dir: str,
@@ -412,7 +453,14 @@ def run_kg(
     Outputs are identical under both plans (tested).  The linking manifest
     records the plan with the count and threshold that chose it, and a
     graph rebuild over reused linking runs the recorded plan.  The result's
-    ``resolved_linking_mode`` / ``resolved_rewrite_mode`` name it."""
+    ``resolved_linking_mode`` / ``resolved_rewrite_mode`` name it.
+
+    A resumed build whose only change is new mentions generations links
+    them on the driver against the last driver-plan linking's block index
+    (``mode: "delta"`` in the linking manifest, with the surfaces keyed and
+    pairs tested); a changed generation, a missing index, ``resume=False``
+    or a union past ``auto_threshold`` link the union in full
+    (``mode: "full"``).  Both give the same surface map."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
@@ -475,41 +523,51 @@ def run_kg(
         mentions_dir = mentions_fut.result()
         triples_dir = triples_fut.result()
 
-    # P3: linking — the surface map is itself a checkpointed Parquet artifact.
-    # Linking and graph are GLOBAL aggregates, so (unlike the per-page
-    # phases, which absorb appends as delta generations) their
-    # fingerprints include the full input-content snapshot: any corpus
-    # growth recomputes them — over mentions/triples that were only
-    # delta-tagged upstream.  The plan is not fingerprinted: both plans give
-    # identical outputs (tested), so a new threshold never invalidates a
-    # sound artifact.
-    snap_fp = lineage.fingerprint({"files": lineage.input_snapshot(pages_path)})
-    fp_link = lineage.fingerprint({**base_fp, "phase": "linking", "pages_snap": snap_fp})
+    # P3: linking — the surface map is itself a checkpointed Parquet
+    # artifact.  The linking manifest records the mentions generations (and
+    # their tags) it consumed: equal generations reuse it, and generations
+    # that only grew link on the driver from the persisted block index
+    # (``_link_delta``); anything else links the union from scratch.  The
+    # plan is not fingerprinted: both plans give identical outputs
+    # (tested), so a new threshold never invalidates a sound artifact.
+    fp_link = lineage.fingerprint({**base_fp, "phase": "linking"})
     surface_map_dir = os.path.join(out_dir, "surface_map")
+    index_dir = os.path.join(out_dir, "linking_index")
+    gens = (lineage.load_manifest(out_dir, "mentions") or {}).get("exploded_gens", {})
     surface_map = None  # the Arrow surface map, when it is on the driver
     link = lineage.load_manifest(out_dir, "linking") if resume else None
-    relinked = link is None or link["fingerprint"] != fp_link
+    if link is not None and link["fingerprint"] != fp_link:
+        link = None
+    relinked = link is None or link.get("gens") != gens
     with lineage.PhaseTimer() as t_link:
         if relinked:
             import shutil
 
-            from ..stages.linking import distinct_surfaces
-
-            # drop the manifest BEFORE the artifact: a crash mid-rebuild
+            delta = _link_delta(link, gens, mentions_dir, index_dir, auto_threshold)
+            # drop the manifest BEFORE the artifacts: a crash mid-rebuild
             # must never leave a complete-looking manifest over a partial
-            # or deleted surface map (the per-page phases already follow
-            # this invalidate-then-rebuild order)
+            # or deleted surface map or index (the per-page phases already
+            # follow this invalidate-then-rebuild order)
             lineage.invalidate(out_dir, "linking")
-            shutil.rmtree(surface_map_dir, ignore_errors=True)
-            # prune at the read: linking consumes only (type, surface)
-            distinct = distinct_surfaces(
-                ray.data.read_parquet(
-                    mentions_dir, columns=["type", "surface"], override_num_blocks=nblocks
+            if delta is not None:
+                index, increment, counts = delta
+                parts = link["index"] + [len(link["index"])]
+                n_distinct = index.surfaces.num_rows
+                scale = False
+            else:
+                shutil.rmtree(surface_map_dir, ignore_errors=True)
+                shutil.rmtree(index_dir, ignore_errors=True)
+                from ..stages.linking import distinct_surfaces
+
+                # prune at the read: linking consumes only (type, surface)
+                distinct = distinct_surfaces(
+                    ray.data.read_parquet(
+                        mentions_dir, columns=["type", "surface"], override_num_blocks=nblocks
+                    )
                 )
-            )
-            # the one plan decision, for P3 and P4 alike
-            n_distinct = distinct.count()
-            scale = n_distinct > auto_threshold
+                # the one plan decision, for P3 and P4 alike
+                n_distinct = distinct.count()
+                scale = n_distinct > auto_threshold
             if scale:
                 from ..stages.linking import link_entities_distributed
 
@@ -517,10 +575,20 @@ def run_kg(
                 # reads only its node_id column (P4 joins read the Parquet)
                 link_entities_distributed(distinct).write_parquet(surface_map_dir)
                 node_ids = pq.read_table(surface_map_dir, columns=["node_id"]).column("node_id")
+                # the scale plan keeps no index and does not count pair tests
+                parts = None
+                counts = {
+                    "surfaces_keyed": len(node_ids), "pairs_tested": None, "blocks_retracted": 0,
+                }
             else:
-                surface_map = link_entities(distinct)
+                if delta is None:
+                    index, counts = block_index(distinct)
+                    increment, parts = index, [0]
+                surface_map = link_entities(index)
+                # the map, then the index increment, then the manifest
                 os.makedirs(surface_map_dir, exist_ok=True)
                 pq.write_table(surface_map, os.path.join(surface_map_dir, "part-0.parquet"))
+                increment.write(index_dir, parts[-1])
                 node_ids = surface_map.column("node_id")
             n_surfaces = len(node_ids)
             link = {
@@ -528,6 +596,10 @@ def run_kg(
                 "plan": ["distributed", "join"] if scale else ["driver", "broadcast"],
                 "n_distinct": n_distinct,
                 "auto_threshold": auto_threshold,
+                "mode": "full" if delta is None else "delta",
+                **counts,
+                "gens": gens,
+                "index": parts,
             }
     if relinked:
         lineage.write_manifest(out_dir, "linking", fp_link, n_surfaces, t_link.wall, extra=link)
@@ -536,7 +608,8 @@ def run_kg(
     # a graph rebuild over reused linking runs the plan linking recorded
     linking_plan, rewrite_plan = link["plan"]
 
-    # P4: graph materialize
+    # P4: graph materialize (a full recompute over the union on any change)
+    snap_fp = lineage.fingerprint({"files": lineage.input_snapshot(pages_path)})
     fp_graph = lineage.fingerprint({**base_fp, "phase": "graph", "pages_snap": snap_fp})
     nodes_dir = os.path.join(out_dir, "nodes")
     edges_dir = os.path.join(out_dir, "edges")

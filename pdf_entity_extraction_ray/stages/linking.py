@@ -24,12 +24,18 @@ surface forms and consolidates each group with an LLM call.  Here:
    are skipped, mirroring LSH banding's intent; the words that matter for
    recall also appear in smaller, rarer blocks.
 4. **components** — two interchangeable paths with identical output:
-   the driver path (``link_entities``) closes the tiny edge list with
-   union-find and returns the surface map as one Arrow table; the
+   the driver path (``block_index`` hands the driver each block's members
+   and similar pairs, ``link_entities`` closes the edge list with
+   union-find and returns the surface map as one Arrow table); the
    distributed path (``link_entities_distributed``) runs BSP min-label
    propagation (``label_propagation_components``) so neither the surface
    universe nor the edges ever land on the driver — the
    10^8+-distinct-surface route.
+5. **appends** — the driver path's :class:`BlockIndex` persists;
+   ``extend_index`` block-keys only an append's new surfaces and tests
+   only the pairs with a new member in the blocks they touch, dropping the
+   stored pairs of a block that grows past ``MAX_BLOCK``.  Membership only
+   grows, so the extended index equals a full pass over the union.
 
 Representative selection replaces the LLM judge (A9) with the
 deterministic "most complete name" contract the prompts encode
@@ -39,8 +45,10 @@ longest, then lexicographically smallest; never invents a surface.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
+import os
 import zlib
 
 import numpy as np
@@ -231,7 +239,9 @@ def build_cluster_map(
     cluster_map: dict[tuple[str, str], tuple[int, str]] = {}
     for root, group in members.items():
         typ = root[0]
-        if consolidate is None or len(group) == 1:
+        if len(group) == 1:
+            canon = group[0]
+        elif consolidate is None:
             canon = representative(group)
         else:
             canon = consolidate(sorted(group))
@@ -323,10 +333,16 @@ BLOCK_ROWS_SCHEMA = pa.schema(
     [("block", pa.string()), ("type", pa.string()), ("surface", pa.string())]
 )
 PAIRS_SCHEMA = pa.schema([("type", pa.string()), ("a", pa.string()), ("b", pa.string())])
+# a similar pair with the block that yielded it (a pair shared by several
+# blocks has one row per block); the block-index reduce also emits each
+# membership row in this schema, as (block, type, a=surface, b=null)
+BLOCK_PAIRS_SCHEMA = pa.schema([pa.field("block", pa.string()), *PAIRS_SCHEMA])
+SURFACE_KEYS_SCHEMA = pa.schema([("type", pa.string()), ("surface", pa.string())])
 
 
-def _block_pairs_partition(group: pa.Table) -> pa.Table:
-    """One coarse hash partition (MANY blocks) -> similar-pair edge rows.
+def _scan_blocks(group: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """One coarse hash partition (MANY blocks) -> (its rows sorted by
+    (block, surface), similar pairs tagged with their block).
 
     Replaces per-block ``map_groups(block_pairs)``: at >10^6 distinct
     surfaces the block-key universe is tens of millions, and Ray's
@@ -348,9 +364,10 @@ def _block_pairs_partition(group: pa.Table) -> pa.Table:
     # duplicate rows must neither self-pair nor inflate the cap)
     keep = sizes >= 2
     if not keep.any():
-        return PAIRS_SCHEMA.empty_table()
+        return tbl, BLOCK_PAIRS_SCHEMA.empty_table()
     surfaces = tbl.column("surface").to_pylist()
     types = tbl.column("type").to_pylist()
+    out_k: list[int] = []  # a row of the pair's block
     out_t: list[str] = []
     out_a: list[str] = []
     out_b: list[str] = []
@@ -364,29 +381,56 @@ def _block_pairs_partition(group: pa.Table) -> pa.Table:
             si = surs[i]
             for j in range(i + 1, len(surs)):
                 if surfaces_match(si, surs[j]):
+                    out_k.append(s)
                     out_t.append(typ)
                     out_a.append(si)
                     out_b.append(surs[j])
-    return pa.table(
-        {
-            "type": pa.array(out_t, pa.string()),
-            "a": pa.array(out_a, pa.string()),
-            "b": pa.array(out_b, pa.string()),
-        }
+    blocks = tbl.column("block").take(pa.array(out_k, pa.int64()))
+    pairs = pa.table([blocks, out_t, out_a, out_b], schema=BLOCK_PAIRS_SCHEMA)
+    return tbl, pairs
+
+
+def _block_pairs_partition(group: pa.Table) -> pa.Table:
+    """One coarse hash partition -> similar-pair edge rows (type, a, b)."""
+    return _scan_blocks(group)[1].drop_columns(["block"])
+
+
+def _block_index_partition(group: pa.Table) -> pa.Table:
+    """One coarse hash partition -> every membership row as
+    ``(block, type, a=surface, b=null)``, then every similar pair
+    ``(block, type, a, b)`` of its blocks (:data:`BLOCK_PAIRS_SCHEMA`)."""
+    tbl, pairs = _scan_blocks(group)
+    members = pa.table(
+        [
+            tbl.column("block"),
+            tbl.column("type"),
+            tbl.column("surface"),
+            pa.nulls(tbl.num_rows, pa.string()),
+        ],
+        schema=BLOCK_PAIRS_SCHEMA,
     )
+    return pa.concat_tables([members, pairs])
 
 
 def candidate_pair_edges(distinct, parts: int | None = None):
     """Distinct-surface Dataset -> (type, a, b) candidate-pair edges via
     LSH/word blocking with coarse-partition vectorized pair generation.
-    The shared edge stage of BOTH linking paths."""
+    The distributed path's edge stage; the driver path's
+    :func:`block_index` runs the same reduce and keeps each pair's block
+    and each block's members too."""
+    return _block_reduce(distinct, _block_pairs_partition, PAIRS_SCHEMA, parts)
+
+
+def _block_reduce(distinct, reduce, reduced_schema, parts=None):
+    """Block-key every distinct surface, then ``reduce`` each part of
+    whole blocks (the shuffle both linking paths share)."""
     return part_keyed_reduce(
         distinct,
         block_keys_batch,
         lambda rows: _crc32_keys(rows.column("block").to_pylist()),
-        _block_pairs_partition,
+        reduce,
         BLOCK_ROWS_SCHEMA,
-        PAIRS_SCHEMA,
+        reduced_schema,
         parts,
     )
 
@@ -423,36 +467,175 @@ def distinct_surfaces(mentions_ds):
     ).materialize()
 
 
-def link_entities(distinct, *, consolidate=None):
-    """:func:`distinct_surfaces` Dataset -> surface map.
+@dataclasses.dataclass(frozen=True)
+class BlockIndex:
+    """The driver plan's linking state, kept so an append links only its
+    new surfaces (:func:`extend_index`):
+
+    - ``surfaces``: every distinct (type, surface) seen, all types
+      (:data:`SURFACE_KEYS_SCHEMA`);
+    - ``members``: one ``(block, type, surface)`` row per linked surface
+      and block key (:data:`BLOCK_ROWS_SCHEMA`);
+    - ``pairs``: the similar pairs each block yielded, a < b
+      (:data:`BLOCK_PAIRS_SCHEMA`).
+
+    A block's pairs are a pure function of its member set, so the index
+    of a union equals the base index plus what the new members add."""
+
+    surfaces: pa.Table
+    members: pa.Table
+    pairs: pa.Table
+
+    TABLES = ("surfaces", "members", "pairs")
+
+    def write(self, index_dir: str, part: int) -> None:
+        """Write this index (or increment) as ``<table>-<part>.parquet``."""
+        import pyarrow.parquet as pq
+
+        os.makedirs(index_dir, exist_ok=True)
+        for name in self.TABLES:
+            pq.write_table(getattr(self, name), os.path.join(index_dir, f"{name}-{part}.parquet"))
+
+    @classmethod
+    def read(cls, index_dir: str, parts) -> BlockIndex | None:
+        """The index written as ``parts``; None when any file is missing."""
+        import pyarrow.parquet as pq
+
+        paths = {n: [os.path.join(index_dir, f"{n}-{p}.parquet") for p in parts] for n in cls.TABLES}
+        if not parts or not all(os.path.isfile(p) for ps in paths.values() for p in ps):
+            return None
+        return cls(**{n: pa.concat_tables(pq.read_table(p) for p in ps) for n, ps in paths.items()})
+
+
+def _nonempty_rows(tables, schema: pa.Schema) -> pa.Table:
+    """Concat Ray result blocks, skipping the empty-schema ones a shuffle
+    emits for empty partitions."""
+    kept = [t.select(schema.names) for t in tables if t.num_rows and schema.names[0] in t.column_names]
+    return pa.concat_tables(kept).cast(schema) if kept else schema.empty_table()
+
+
+def _block_sizes(members: pa.Table) -> pa.StructArray:
+    """(values=block, counts=members) per block.  A hash kernel, not an
+    Acero ``group_by``, whose first call costs a driver ~6 MB and ~13 ms."""
+    return pc.value_counts(members.column("block"))
+
+
+def _pairs_tested(members: pa.Table) -> int:
+    """Pair tests a full pass makes over ``members``: k(k-1)/2 per block
+    of 2..MAX_BLOCK distinct surfaces."""
+    k = np.asarray(_block_sizes(members).field("counts"), np.int64)
+    k = k[(k >= 2) & (k <= MAX_BLOCK)]
+    return int((k * (k - 1) // 2).sum())
+
+
+def block_index(distinct) -> tuple[BlockIndex, dict]:
+    """:func:`distinct_surfaces` Dataset -> (its :class:`BlockIndex`,
+    linking counts).  One Ray execution (the block-pairs reduce, which
+    hands back its membership rows with the pairs) plus the driver
+    collect of the universe."""
+    import ray
+
+    surfaces = _nonempty_rows((ray.get(r) for r in distinct.to_arrow_refs()), SURFACE_KEYS_SCHEMA)
+    rows = _nonempty_rows(
+        _block_reduce(distinct, _block_index_partition, BLOCK_PAIRS_SCHEMA).iter_batches(
+            batch_format="pyarrow", batch_size=None
+        ),
+        BLOCK_PAIRS_SCHEMA,
+    )
+    is_pair = pc.is_valid(rows.column("b"))
+    members = rows.filter(pc.invert(is_pair)).select(["block", "type", "a"])
+    members = members.rename_columns(BLOCK_ROWS_SCHEMA.names)
+    index = BlockIndex(surfaces, members, rows.filter(is_pair))
+    counts = {
+        "surfaces_keyed": _n_linked(surfaces),
+        "pairs_tested": _pairs_tested(members),
+        "blocks_retracted": 0,
+    }
+    return index, counts
+
+
+def _n_linked(surfaces: pa.Table) -> int:
+    return pc.sum(pc.is_in(surfaces.column("type"), pa.array(LINKED_TYPES))).as_py() or 0
+
+
+def _surface_keys(tbl: pa.Table) -> pa.Array:
+    keys = pc.binary_join_element_wise(tbl.column("type"), tbl.column("surface"), "\x00")
+    return keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
+
+
+def extend_index(index: BlockIndex, seen: pa.Table) -> tuple[BlockIndex, BlockIndex, dict]:
+    """Add the (type, surface) rows of ``seen`` that ``index`` lacks, on
+    the driver.  Returns (the index of the union, the increment to
+    persist, linking counts).
+
+    Only the new linked surfaces are block-keyed, and only pairs with a
+    new member inside a block they touch are tested.  A block that grows
+    past MAX_BLOCK loses its stored pairs, as a full pass would skip it;
+    pairs another block yields stay.  Membership only grows, so the
+    result equals :func:`block_index` over the union."""
+    keys = _surface_keys(seen)
+    fresh = pc.unique(keys)
+    fresh = fresh.filter(pc.invert(pc.is_in(fresh, value_set=_surface_keys(index.surfaces))))
+    # each new key's first row in ``seen``
+    new = seen.select(SURFACE_KEYS_SCHEMA.names).take(pc.index_in(fresh, value_set=keys))
+    new = new.cast(SURFACE_KEYS_SCHEMA).sort_by([("type", "ascending"), ("surface", "ascending")])
+    new_members = block_keys_batch(new)
+    touched = pc.unique(new_members.column("block"))
+    old = index.members.filter(pc.is_in(index.members.column("block"), value_set=touched))
+    old_by: dict[str, list[str]] = {}
+    for b, s in zip(old.column("block").to_pylist(), old.column("surface").to_pylist()):
+        old_by.setdefault(b, []).append(s)
+    new_by: dict[str, list[str]] = {}
+    types: dict[str, str] = {}
+    for b, t, s in zip(*(new_members.column(c).to_pylist() for c in BLOCK_ROWS_SCHEMA.names)):
+        new_by.setdefault(b, []).append(s)
+        types[b] = t
+    out: list[tuple[str, str, str, str]] = []
+    tested = retracted = 0
+    for block, news in new_by.items():
+        olds = old_by.get(block, [])
+        if len(olds) + len(news) > MAX_BLOCK:
+            retracted += len(olds) <= MAX_BLOCK
+            continue
+        cands = [(n, o) for n in news for o in olds]
+        cands += [(news[i], news[j]) for i in range(len(news)) for j in range(i + 1, len(news))]
+        tested += len(cands)
+        for x, y in cands:
+            a, b = min(x, y), max(x, y)
+            if surfaces_match(a, b):
+                out.append((block, types[block], a, b))
+    new_pairs = pa.table(
+        [list(col) for col in zip(*out)] if out else [[], [], [], []], schema=BLOCK_PAIRS_SCHEMA
+    )
+    members = pa.concat_tables([index.members, new_members])
+    merged = BlockIndex(
+        pa.concat_tables([index.surfaces, new]),
+        members,
+        _drop_oversized(members, pa.concat_tables([index.pairs, new_pairs])),
+    )
+    counts = {"surfaces_keyed": _n_linked(new), "pairs_tested": tested, "blocks_retracted": retracted}
+    return merged, BlockIndex(new, new_members, new_pairs), counts
+
+
+def _drop_oversized(members: pa.Table, pairs: pa.Table) -> pa.Table:
+    """``pairs`` minus those of blocks past MAX_BLOCK members.  The stored
+    files keep a block's pairs after it grows past the cap, so this runs
+    over every block, not only the ones the last append touched."""
+    sizes = _block_sizes(members)
+    big = sizes.field("values").filter(pc.greater(sizes.field("counts"), MAX_BLOCK))
+    return pairs.filter(pc.invert(pc.is_in(pairs.column("block"), value_set=big)))
+
+
+def link_entities(index: BlockIndex, *, consolidate=None):
+    """:class:`BlockIndex` -> surface map: union-find over its pairs.
 
     The surface map is an Arrow table of :data:`SURFACE_MAP_SCHEMA`, one
     row per distinct linked (type, surface), sorted by (type, surface);
     callers broadcast it with ``ray.put`` for the rewrite stages.
     """
-    import ray
-
-    # collect the (type, surface) universe for union-find
-    universe: list[tuple[str, str]] = []
-    for ref in distinct.to_arrow_refs():
-        tbl = ray.get(ref)
-        if tbl.num_rows == 0 or "type" not in tbl.column_names:
-            continue  # empty shuffle partitions carry an empty schema
-        universe.extend(zip(tbl.column("type").to_pylist(), tbl.column("surface").to_pylist()))
-    universe = [(t, s) for t, s in universe if t in LINKED_TYPES]
-
-    edges_tbl = candidate_pair_edges(distinct)
-    edges: list[tuple[str, str, str]] = []
-    for batch in edges_tbl.iter_batches(batch_format="pyarrow"):
-        if batch.num_rows == 0 or "type" not in batch.column_names:
-            continue
-        edges.extend(
-            zip(
-                batch.column("type").to_pylist(),
-                batch.column("a").to_pylist(),
-                batch.column("b").to_pylist(),
-            )
-        )
+    linked = index.surfaces.filter(pc.is_in(index.surfaces.column("type"), pa.array(LINKED_TYPES)))
+    universe = list(zip(linked.column("type").to_pylist(), linked.column("surface").to_pylist()))
+    edges = zip(*(index.pairs.column(c).to_pylist() for c in PAIRS_SCHEMA.names))
     cluster_map = build_cluster_map(sorted(set(edges)), universe, consolidate)
     surface_map = pa.table(
         {

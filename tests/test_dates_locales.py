@@ -175,3 +175,54 @@ class TestRelativeDates:
         # possessive/plural forms DO match the base word (span = the word)
         m = RELATIVE_RE.search("hier!")
         assert m and m.group(0) == "hier"
+
+    def _resolved(self, pages):
+        """``relative_date_mentions`` over (lang, text) pages crawled on
+        the anchor day -> {(url, expr, resolved)}."""
+        import datetime as dt
+
+        import pyarrow as pa
+        import ray.data
+
+        from pdf_entity_extraction_ray.ops.text import relative_date_mentions
+
+        ts = dt.datetime(2024, 5, 15, 12, tzinfo=dt.timezone.utc)
+        table = pa.table(
+            {
+                "url": [f"https://x.test/{lang}/{i}" for i, (lang, _) in enumerate(pages)],
+                "text": [text for _, text in pages],
+                "warc_ts": pa.array([ts] * len(pages), pa.timestamp("us", tz="UTC")),
+                "lang": [lang for lang, _ in pages],
+            }
+        )
+        out = relative_date_mentions(ray.data.from_arrow(table)).take_all()
+        return {(r["url"].split("/")[3], r["expr"], r["resolved"]) for r in out}
+
+    def test_day_words_count_only_in_their_page_language(self):
+        """French "hier" is yesterday on a fr page, and "here" on de and
+        en pages; German "morgen" likewise.  English forms count on every
+        page."""
+        got = self._resolved([
+            ("fr", "vu hier"), ("de", "hier ist es"), ("en", "hier"),
+            ("de", "bis morgen"), ("fr", "morgen"),
+            ("fr", "seen yesterday"), ("de", "next monday"),
+        ])
+        assert got == {
+            ("fr", "hier", "2024-05-14"),
+            ("de", "morgen", "2024-05-16"),
+            ("fr", "yesterday", "2024-05-14"),
+            ("de", "next monday", "2024-05-20"),
+        }
+
+    def test_match_gate_by_language(self):
+        from pdf_entity_extraction_ray.functions.dates import (
+            RELATIVE_RE,
+            relative_match_in_lang,
+        )
+
+        def ok(text, lang):
+            return relative_match_in_lang(RELATIVE_RE.search(text), lang)
+
+        assert ok("Hier", "fr") and not ok("hier", "de") and not ok("hier", "en")
+        assert ok("ayer", "es") and not ok("ayer", "pt") and not ok("ayer", None)
+        assert ok("today", "de") and ok("3 days ago", "pt") and ok("tomorrow", None)

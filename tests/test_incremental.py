@@ -17,6 +17,7 @@ import shutil
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import pytest
 
 from pdf_entity_extraction_ray.pipelines.kg import run_kg
 from pdf_entity_extraction_ray.state import lineage
@@ -261,3 +262,152 @@ def test_graph_rebuild_runs_the_plan_linking_recorded(small_corpus, tmp_path_fac
     for name in ("nodes", "edges", "triples_canonical"):
         got, want = _sorted_table(out, name), _sorted_table(clean, name)
         assert got.num_rows and got.equals(want), name
+
+
+# ------------------------------------------------- delta-incremental linking
+
+
+@pytest.fixture(scope="module")
+def tail_parts(tmp_path_factory):
+    """A long-tail corpus (every page plants its own ORG cluster, so each
+    append brings new linked surfaces) in three page files: a base and two
+    appends."""
+    from pdf_entity_extraction_ray.sources.corpus import pages_batch
+
+    d = tmp_path_factory.mktemp("tail_parts")
+    paths = []
+    for i, (lo, hi) in enumerate(((0, 120), (120, 160), (160, 200))):
+        table, _m, _t = pages_batch(list(range(lo, hi)), 42, 25, 200, 1)
+        paths.append(str(d / f"part-{i}.parquet"))
+        pq.write_table(table, paths[-1])
+    return paths
+
+
+def _tail_kwargs(**kw):
+    from pdf_entity_extraction_ray.sources.corpus import TAIL_PATTERN, TAIL_TYPE
+
+    return {"n_buckets": 4, "concurrency": 2, "extra_patterns": [(TAIL_PATTERN, TAIL_TYPE)], **kw}
+
+
+@pytest.fixture(scope="module")
+def tail_full(tail_parts, tmp_path_factory):
+    """A from-scratch build over all three page files."""
+    base = tmp_path_factory.mktemp("tail_full")
+    pages = base / "pages"
+    pages.mkdir()
+    for p in tail_parts:
+        shutil.copy(p, pages)
+    out = str(base / "out")
+    run_kg(str(pages), out, **_tail_kwargs())
+    return out
+
+
+def _grow(pages, part):
+    os.makedirs(pages, exist_ok=True)
+    shutil.copy(part, pages)
+
+
+def _new_linked_surfaces(out, gen):
+    """Linked (type, surface) pairs of mentions generation ``gen`` that no
+    earlier generation holds, read from the mentions table."""
+    from pdf_entity_extraction_ray.stages.linking import LINKED_TYPES
+
+    def keys(g):
+        t = pads.dataset(f"{out}/mentions/{g}", partitioning="hive").to_table(
+            columns=["type", "surface"]
+        )
+        return {(ty, s) for ty, s in zip(*(t.column(c).to_pylist() for c in ("type", "surface")))
+                if ty in LINKED_TYPES}
+
+    earlier = set().union(*(keys(f"g{k}") for k in range(int(gen[1:]))))
+    return keys(gen) - earlier, earlier
+
+
+def _assert_equal_outputs(out, want):
+    for name in ("surface_map", "nodes", "edges", "triples_canonical"):
+        got, exp = _sorted_table(out, name), _sorted_table(want, name)
+        assert got.num_rows and got.equals(exp), name
+
+
+def test_two_appends_link_only_their_new_surfaces(tail_parts, tail_full, tmp_path_factory):
+    """Each append links on the driver from the block index (mode
+    "delta"), keys exactly its new linked surfaces, and the outputs equal a
+    from-scratch build on every column."""
+    base = str(tmp_path_factory.mktemp("two_appends"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    link = lineage.load_manifest(out, "linking")
+    assert link["mode"] == "full" and link["index"] == [0]
+    assert link["surfaces_keyed"] == link["rows"]
+
+    for k, part in enumerate(tail_parts[1:], start=1):
+        _grow(pages, part)
+        run_kg(pages, out, **_tail_kwargs())
+        link = lineage.load_manifest(out, "linking")
+        new, earlier = _new_linked_surfaces(out, f"g{k}")
+        assert link["mode"] == "delta"
+        assert sorted(link["gens"]) == [f"g{i}" for i in range(k + 1)]
+        assert link["index"] == list(range(k + 1))
+        # the linking.surfaces_relinked gate: the delta, not the union
+        assert 0 < link["surfaces_keyed"] == len(new) < len(new | earlier)
+        assert link["blocks_retracted"] == 0
+        assert os.path.isfile(f"{out}/linking_index/members-{k}.parquet")
+    _assert_equal_outputs(out, tail_full)
+
+    # a rerun with no new pages reuses the linking manifest as it is
+    run_kg(pages, out, **_tail_kwargs())
+    assert lineage.load_manifest(out, "linking") == link
+
+
+def test_crash_before_linking_manifest_relinks_in_full(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """The delta writes the map, then its index increment, then the
+    manifest.  A crash before the manifest leaves none, so the rerun links
+    the union from scratch and equals a clean build."""
+    base = str(tmp_path_factory.mktemp("crash_delta"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[1])
+    _grow(pages, tail_parts[2])
+
+    real = lineage.write_manifest
+
+    def crash_on_linking(out_dir, phase, *a, **kw):
+        if phase == "linking":
+            raise RuntimeError("crash before the linking manifest")
+        return real(out_dir, phase, *a, **kw)
+
+    monkeypatch.setattr(lineage, "write_manifest", crash_on_linking)
+    with pytest.raises(RuntimeError, match="crash before"):
+        run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.setattr(lineage, "write_manifest", real)
+    assert lineage.load_manifest(out, "linking") is None
+    assert os.path.isfile(f"{out}/linking_index/members-1.parquet")
+
+    run_kg(pages, out, **_tail_kwargs())
+    link = lineage.load_manifest(out, "linking")
+    assert link["mode"] == "full" and link["index"] == [0]
+    assert not os.path.exists(f"{out}/linking_index/members-1.parquet")
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_append_past_threshold_runs_the_scale_plan(tail_parts, tail_full, tmp_path_factory):
+    """An append that lifts the distinct count past ``auto_threshold``
+    links the union in full under the scale plan."""
+    base = str(tmp_path_factory.mktemp("cross_threshold"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    threshold = lineage.load_manifest(out, "linking")["n_distinct"]
+    _grow(pages, tail_parts[1])
+    _grow(pages, tail_parts[2])
+    res = run_kg(pages, out, **_tail_kwargs(auto_threshold=threshold))
+    link = lineage.load_manifest(out, "linking")
+    assert link["n_distinct"] > threshold
+    assert link["mode"] == "full" and link["plan"] == ["distributed", "join"]
+    assert link["index"] is None and not os.path.exists(f"{out}/linking_index")
+    assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == ("distributed", "join")
+    _assert_equal_outputs(out, tail_full)

@@ -13,6 +13,7 @@ import ray.data
 from pdf_entity_extraction_ray.stages.extract import extract_segments_batch
 from pdf_entity_extraction_ray.stages.linking import (
     SURFACE_MAP_SCHEMA,
+    block_index,
     distinct_surfaces,
     label_propagation_components,
     link_entities,
@@ -54,7 +55,7 @@ def _tag_batch_fn(gaz):
 
 def test_distributed_matches_driver_path(small_corpus):
     distinct = distinct_surfaces(_mentions_ds(small_corpus))
-    surface_map = link_entities(distinct)
+    surface_map = link_entities(block_index(distinct)[0])
     by_key = [("type", "ascending"), ("surface", "ascending")]
     assert surface_map.num_rows > 0
     assert surface_map.schema == SURFACE_MAP_SCHEMA
