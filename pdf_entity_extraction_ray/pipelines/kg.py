@@ -83,8 +83,13 @@ CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
 # entries is ~55-80 MB in the object store, which every worker reads
 # zero-copy.  The value dates from when the map was a Python dict (377 B
 # per entry, ~0.4 GB at 10^6); no measurement of where the join plan starts
-# to win has moved it since.  Outputs are identical across the two plans
-# (tested), so the switch is purely an execution-strategy decision.
+# to win has moved it since.  The driver also holds the universe and the
+# similar pairs for union-find: a driver-plan link of 10^5 synthetic
+# surfaces grew the driver's RSS by 93 MB at peak (82 MB before it kept a
+# block index; the index's ~20 membership rows per surface stay on disk),
+# and a 5,000-surface append to it by 125 MB: ~1 GB at 10^6 by linear
+# extrapolation, not measured there.  Outputs are identical across the two
+# plans (tested), so the switch is purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
 
 
@@ -398,12 +403,18 @@ def _link_delta(
         return None
     import pyarrow.dataset as pads
 
+    from ..stages.linking import SURFACE_KEYS_SCHEMA
+
+    # a generation that exploded to no rows has no directory (Ray writes
+    # no files for an empty dataset)
+    new_dirs = [os.path.join(mentions_dir, g) for g in gens if g not in done]
+    new_dirs = [d for d in new_dirs if os.path.isdir(d)]
     seen = pa.concat_tables(
-        pads.dataset(os.path.join(mentions_dir, g), partitioning="hive").to_table(
-            columns=["type", "surface"]
-        )
-        for g in gens
-        if g not in done
+        [SURFACE_KEYS_SCHEMA.empty_table()]
+        + [
+            pads.dataset(d, partitioning="hive").to_table(columns=["type", "surface"])
+            for d in new_dirs
+        ]
     )
     merged, increment, counts = extend_index(index, seen)
     if merged.surfaces.num_rows > auto_threshold:
@@ -551,7 +562,6 @@ def run_kg(
             lineage.invalidate(out_dir, "linking")
             if delta is not None:
                 index, increment, counts = delta
-                parts = link["index"] + [len(link["index"])]
                 n_distinct = index.surfaces.num_rows
                 scale = False
             else:
@@ -582,13 +592,15 @@ def run_kg(
                 }
             else:
                 if delta is None:
-                    index, counts = block_index(distinct)
-                    increment, parts = index, [0]
+                    # writes the index as part 0 (its members from the workers)
+                    index, counts = block_index(distinct, index_dir)
+                parts = list(index.parts)
                 surface_map = link_entities(index)
-                # the map, then the index increment, then the manifest
+                # the map, then a delta's index increment, then the manifest
                 os.makedirs(surface_map_dir, exist_ok=True)
                 pq.write_table(surface_map, os.path.join(surface_map_dir, "part-0.parquet"))
-                increment.write(index_dir, parts[-1])
+                if delta is not None:
+                    increment.write(index_dir, parts[-1])
                 node_ids = surface_map.column("node_id")
             n_surfaces = len(node_ids)
             link = {

@@ -24,18 +24,20 @@ surface forms and consolidates each group with an LLM call.  Here:
    are skipped, mirroring LSH banding's intent; the words that matter for
    recall also appear in smaller, rarer blocks.
 4. **components** — two interchangeable paths with identical output:
-   the driver path (``block_index`` hands the driver each block's members
-   and similar pairs, ``link_entities`` closes the edge list with
-   union-find and returns the surface map as one Arrow table); the
+   the driver path (``block_index`` hands the driver each block's similar
+   pairs and writes each block's members to disk, ``link_entities``
+   closes the edge list with union-find and returns the surface map as
+   one Arrow table); the
    distributed path (``link_entities_distributed``) runs BSP min-label
    propagation (``label_propagation_components``) so neither the surface
    universe nor the edges ever land on the driver — the
    10^8+-distinct-surface route.
 5. **appends** — the driver path's :class:`BlockIndex` persists;
-   ``extend_index`` block-keys only an append's new surfaces and tests
-   only the pairs with a new member in the blocks they touch, dropping the
-   stored pairs of a block that grows past ``MAX_BLOCK``.  Membership only
-   grows, so the extended index equals a full pass over the union.
+   ``extend_index`` block-keys only an append's new surfaces, reads the
+   stored members of just the blocks they touch, and tests only the pairs
+   with a new member, retracting the stored pairs of a block that grows
+   past ``MAX_BLOCK``.  Membership only grows, so the extended index
+   equals a full pass over the union.
 
 Representative selection replaces the LLM judge (A9) with the
 deterministic "most complete name" contract the prompts encode
@@ -239,9 +241,7 @@ def build_cluster_map(
     cluster_map: dict[tuple[str, str], tuple[int, str]] = {}
     for root, group in members.items():
         typ = root[0]
-        if len(group) == 1:
-            canon = group[0]
-        elif consolidate is None:
+        if consolidate is None or len(group) == 1:
             canon = representative(group)
         else:
             canon = consolidate(sorted(group))
@@ -338,11 +338,16 @@ PAIRS_SCHEMA = pa.schema([("type", pa.string()), ("a", pa.string()), ("b", pa.st
 # membership row in this schema, as (block, type, a=surface, b=null)
 BLOCK_PAIRS_SCHEMA = pa.schema([pa.field("block", pa.string()), *PAIRS_SCHEMA])
 SURFACE_KEYS_SCHEMA = pa.schema([("type", pa.string()), ("surface", pa.string())])
+RETRACTED_SCHEMA = pa.schema([("block", pa.string())])
+# rows per row group of the block index's membership files, the unit an
+# append's scan of them decodes at a time
+MEMBERS_ROW_GROUP = 1 << 16
 
 
-def _scan_blocks(group: pa.Table) -> tuple[pa.Table, pa.Table]:
+def _scan_blocks(group: pa.Table) -> tuple[pa.Table, pa.Table, int]:
     """One coarse hash partition (MANY blocks) -> (its rows sorted by
-    (block, surface), similar pairs tagged with their block).
+    (block, surface), similar pairs tagged with their block, pair tests
+    made).
 
     Replaces per-block ``map_groups(block_pairs)``: at >10^6 distinct
     surfaces the block-key universe is tens of millions, and Ray's
@@ -364,18 +369,20 @@ def _scan_blocks(group: pa.Table) -> tuple[pa.Table, pa.Table]:
     # duplicate rows must neither self-pair nor inflate the cap)
     keep = sizes >= 2
     if not keep.any():
-        return tbl, BLOCK_PAIRS_SCHEMA.empty_table()
+        return tbl, BLOCK_PAIRS_SCHEMA.empty_table(), 0
     surfaces = tbl.column("surface").to_pylist()
     types = tbl.column("type").to_pylist()
     out_k: list[int] = []  # a row of the pair's block
     out_t: list[str] = []
     out_a: list[str] = []
     out_b: list[str] = []
+    tested = 0
     for s, e in zip(starts[keep], ends[keep]):
         # sorted slice -> dict.fromkeys dedups while preserving order
         surs = list(dict.fromkeys(surfaces[s:e]))
         if not (1 < len(surs) <= MAX_BLOCK):
             continue
+        tested += len(surs) * (len(surs) - 1) // 2
         typ = types[s]
         for i in range(len(surs)):
             si = surs[i]
@@ -387,7 +394,7 @@ def _scan_blocks(group: pa.Table) -> tuple[pa.Table, pa.Table]:
                     out_b.append(surs[j])
     blocks = tbl.column("block").take(pa.array(out_k, pa.int64()))
     pairs = pa.table([blocks, out_t, out_a, out_b], schema=BLOCK_PAIRS_SCHEMA)
-    return tbl, pairs
+    return tbl, pairs, tested
 
 
 def _block_pairs_partition(group: pa.Table) -> pa.Table:
@@ -395,21 +402,24 @@ def _block_pairs_partition(group: pa.Table) -> pa.Table:
     return _scan_blocks(group)[1].drop_columns(["block"])
 
 
-def _block_index_partition(group: pa.Table) -> pa.Table:
-    """One coarse hash partition -> every membership row as
-    ``(block, type, a=surface, b=null)``, then every similar pair
-    ``(block, type, a, b)`` of its blocks (:data:`BLOCK_PAIRS_SCHEMA`)."""
-    tbl, pairs = _scan_blocks(group)
-    members = pa.table(
-        [
-            tbl.column("block"),
-            tbl.column("type"),
-            tbl.column("surface"),
-            pa.nulls(tbl.num_rows, pa.string()),
-        ],
-        schema=BLOCK_PAIRS_SCHEMA,
+def _block_index_partition(group: pa.Table, members_dir: str) -> pa.Table:
+    """One coarse hash partition -> the similar pairs ``(block, type, a,
+    b)`` of its blocks.  Its membership rows go to one Parquet file in
+    ``members_dir``, with its pair-test count in the file's metadata, so
+    they never pass through the driver.  The file is named by a hash of
+    its first block, which no other partition holds, so a retried task
+    rewrites the same file."""
+    import pyarrow.parquet as pq
+
+    tbl, pairs, tested = _scan_blocks(group)
+    name = hashlib.blake2b(tbl.column("block")[0].as_py().encode(), digest_size=8).hexdigest()
+    members = tbl.select(BLOCK_ROWS_SCHEMA.names).cast(BLOCK_ROWS_SCHEMA)
+    pq.write_table(
+        members.replace_schema_metadata({"pairs_tested": str(tested)}),
+        os.path.join(members_dir, f"{name}.parquet"),
+        row_group_size=MEMBERS_ROW_GROUP,
     )
-    return pa.concat_tables([members, pairs])
+    return pairs
 
 
 def candidate_pair_edges(distinct, parts: int | None = None):
@@ -468,43 +478,111 @@ def distinct_surfaces(mentions_ds):
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockIndex:
-    """The driver plan's linking state, kept so an append links only its
-    new surfaces (:func:`extend_index`):
+class IndexIncrement:
+    """What one link adds to the driver plan's block index, written as
+    ``<table>-<part>`` under the index dir:
 
-    - ``surfaces``: every distinct (type, surface) seen, all types
+    - ``surfaces``: the new distinct (type, surface) rows, all types
       (:data:`SURFACE_KEYS_SCHEMA`);
-    - ``members``: one ``(block, type, surface)`` row per linked surface
-      and block key (:data:`BLOCK_ROWS_SCHEMA`);
-    - ``pairs``: the similar pairs each block yielded, a < b
-      (:data:`BLOCK_PAIRS_SCHEMA`).
-
-    A block's pairs are a pure function of its member set, so the index
-    of a union equals the base index plus what the new members add."""
+    - ``members``: one ``(block, type, surface)`` row per new linked
+      surface and block key (:data:`BLOCK_ROWS_SCHEMA`), a directory of
+      Parquet files;
+    - ``pairs``: the similar pairs the new members add, a < b
+      (:data:`BLOCK_PAIRS_SCHEMA`);
+    - ``retracted``: the blocks the new members push past MAX_BLOCK, whose
+      stored pairs a full pass would not yield."""
 
     surfaces: pa.Table
     members: pa.Table
     pairs: pa.Table
-
-    TABLES = ("surfaces", "members", "pairs")
+    retracted: pa.Table
 
     def write(self, index_dir: str, part: int) -> None:
-        """Write this index (or increment) as ``<table>-<part>.parquet``."""
         import pyarrow.parquet as pq
 
-        os.makedirs(index_dir, exist_ok=True)
-        for name in self.TABLES:
-            pq.write_table(getattr(self, name), os.path.join(index_dir, f"{name}-{part}.parquet"))
+        members_dir = os.path.join(index_dir, f"members-{part}")
+        os.makedirs(members_dir, exist_ok=True)
+        pq.write_table(
+            self.members,
+            os.path.join(members_dir, "part-0.parquet"),
+            row_group_size=MEMBERS_ROW_GROUP,
+        )
+        _write_tables(index_dir, part, self.surfaces, self.pairs, self.retracted)
+
+
+def _write_tables(index_dir: str, part: int, surfaces, pairs, retracted) -> None:
+    import pyarrow.parquet as pq
+
+    for name, table in (("surfaces", surfaces), ("pairs", pairs), ("retracted", retracted)):
+        pq.write_table(table, os.path.join(index_dir, f"{name}-{part}.parquet"))
+
+
+@dataclasses.dataclass(frozen=True)
+class BlockIndex:
+    """The driver plan's linking state, kept so an append links only its
+    new surfaces (:func:`extend_index`): the increments ``parts`` under
+    ``index_dir``.  The driver holds what union-find needs, as for a full
+    link: every distinct (type, surface) seen (``surfaces``) and the
+    similar pairs of the blocks within MAX_BLOCK (``pairs``).  The
+    membership rows, ~10-20 per linked surface, stay on disk; an append
+    streams in only those of the blocks it touches (:meth:`member_batches`).
+
+    A block's pairs are a pure function of its member set, so the index
+    of a union equals the base index plus what the new members add."""
+
+    index_dir: str
+    parts: tuple[int, ...]
+    surfaces: pa.Table
+    pairs: pa.Table
+
+    def member_batches(self, blocks: pa.Array | None = None):
+        """The stored membership rows (of ``blocks`` only, when given), as
+        a stream of record batches."""
+        import pyarrow.dataset as pads
+
+        files = [
+            os.path.join(self.index_dir, f"members-{p}", f)
+            for p in self.parts
+            for f in sorted(os.listdir(os.path.join(self.index_dir, f"members-{p}")))
+        ]
+        flt = None if blocks is None else pc.field("block").isin(blocks)
+        # one row group in flight, so the scan holds ~MEMBERS_ROW_GROUP
+        # rows whatever the index size (Arrow's default readahead held
+        # ~150 MB scanning 2*10^6 rows)
+        return pads.dataset(files, schema=BLOCK_ROWS_SCHEMA).to_batches(
+            filter=flt, batch_readahead=1, fragment_readahead=1
+        )
 
     @classmethod
     def read(cls, index_dir: str, parts) -> BlockIndex | None:
-        """The index written as ``parts``; None when any file is missing."""
+        """The index written as ``parts``; None when any part is missing."""
         import pyarrow.parquet as pq
 
-        paths = {n: [os.path.join(index_dir, f"{n}-{p}.parquet") for p in parts] for n in cls.TABLES}
-        if not parts or not all(os.path.isfile(p) for ps in paths.values() for p in ps):
+        def path(name, p):
+            return os.path.join(index_dir, f"{name}-{p}.parquet")
+
+        names = ("surfaces", "pairs", "retracted")
+        complete = all(
+            os.path.isdir(os.path.join(index_dir, f"members-{p}"))
+            and all(os.path.isfile(path(n, p)) for n in names)
+            for p in parts
+        )
+        if not parts or not complete:
             return None
-        return cls(**{n: pa.concat_tables(pq.read_table(p) for p in ps) for n, ps in paths.items()})
+        tables = {n: pa.concat_tables(pq.read_table(path(n, p)) for p in parts) for n in names}
+        return cls(
+            index_dir,
+            tuple(parts),
+            tables["surfaces"],
+            _drop_retracted(tables["pairs"], tables["retracted"].column("block")),
+        )
+
+
+def _drop_retracted(pairs: pa.Table, retracted) -> pa.Table:
+    """``pairs`` minus those of blocks past MAX_BLOCK.  A block's stored
+    pairs stay in the increment that found them; membership only grows,
+    so a retracted block never yields pairs again."""
+    return pairs.filter(pc.invert(pc.is_in(pairs.column("block"), value_set=retracted)))
 
 
 def _nonempty_rows(tables, schema: pa.Schema) -> pa.Table:
@@ -514,44 +592,32 @@ def _nonempty_rows(tables, schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(kept).cast(schema) if kept else schema.empty_table()
 
 
-def _block_sizes(members: pa.Table) -> pa.StructArray:
-    """(values=block, counts=members) per block.  A hash kernel, not an
-    Acero ``group_by``, whose first call costs a driver ~6 MB and ~13 ms."""
-    return pc.value_counts(members.column("block"))
-
-
-def _pairs_tested(members: pa.Table) -> int:
-    """Pair tests a full pass makes over ``members``: k(k-1)/2 per block
-    of 2..MAX_BLOCK distinct surfaces."""
-    k = np.asarray(_block_sizes(members).field("counts"), np.int64)
-    k = k[(k >= 2) & (k <= MAX_BLOCK)]
-    return int((k * (k - 1) // 2).sum())
-
-
-def block_index(distinct) -> tuple[BlockIndex, dict]:
+def block_index(distinct, index_dir: str) -> tuple[BlockIndex, dict]:
     """:func:`distinct_surfaces` Dataset -> (its :class:`BlockIndex`,
-    linking counts).  One Ray execution (the block-pairs reduce, which
-    hands back its membership rows with the pairs) plus the driver
-    collect of the universe."""
+    written as part 0 under ``index_dir``, and linking counts).  One Ray
+    execution, the block-pairs reduce: it writes each partition's
+    membership rows and hands the driver only the pairs.  The driver also
+    collects the universe."""
+    import pyarrow.parquet as pq
     import ray
 
+    members_dir = os.path.join(index_dir, "members-0")
+    os.makedirs(members_dir, exist_ok=True)
     surfaces = _nonempty_rows((ray.get(r) for r in distinct.to_arrow_refs()), SURFACE_KEYS_SCHEMA)
-    rows = _nonempty_rows(
-        _block_reduce(distinct, _block_index_partition, BLOCK_PAIRS_SCHEMA).iter_batches(
+    reduce = functools.partial(_block_index_partition, members_dir=members_dir)
+    pairs = _nonempty_rows(
+        _block_reduce(distinct, reduce, BLOCK_PAIRS_SCHEMA).iter_batches(
             batch_format="pyarrow", batch_size=None
         ),
         BLOCK_PAIRS_SCHEMA,
     )
-    is_pair = pc.is_valid(rows.column("b"))
-    members = rows.filter(pc.invert(is_pair)).select(["block", "type", "a"])
-    members = members.rename_columns(BLOCK_ROWS_SCHEMA.names)
-    index = BlockIndex(surfaces, members, rows.filter(is_pair))
-    counts = {
-        "surfaces_keyed": _n_linked(surfaces),
-        "pairs_tested": _pairs_tested(members),
-        "blocks_retracted": 0,
-    }
-    return index, counts
+    tested = sum(
+        int(pq.read_schema(os.path.join(members_dir, f)).metadata[b"pairs_tested"])
+        for f in os.listdir(members_dir)
+    )
+    _write_tables(index_dir, 0, surfaces, pairs, RETRACTED_SCHEMA.empty_table())
+    counts = {"surfaces_keyed": _n_linked(surfaces), "pairs_tested": tested, "blocks_retracted": 0}
+    return BlockIndex(index_dir, (0,), surfaces, pairs), counts
 
 
 def _n_linked(surfaces: pa.Table) -> int:
@@ -563,39 +629,45 @@ def _surface_keys(tbl: pa.Table) -> pa.Array:
     return keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
 
 
-def extend_index(index: BlockIndex, seen: pa.Table) -> tuple[BlockIndex, BlockIndex, dict]:
+def extend_index(index: BlockIndex, seen: pa.Table) -> tuple[BlockIndex, IndexIncrement, dict]:
     """Add the (type, surface) rows of ``seen`` that ``index`` lacks, on
-    the driver.  Returns (the index of the union, the increment to
-    persist, linking counts).
+    the driver.  Returns (the index of the union once the increment is
+    written as its next part, the increment, linking counts).
 
     Only the new linked surfaces are block-keyed, and only pairs with a
-    new member inside a block they touch are tested.  A block that grows
-    past MAX_BLOCK loses its stored pairs, as a full pass would skip it;
-    pairs another block yields stay.  Membership only grows, so the
-    result equals :func:`block_index` over the union."""
+    new member inside a block they touch are tested; of the stored
+    members, only those of the touched blocks are read, up to MAX_BLOCK +
+    1 per block.  A block that grows past MAX_BLOCK loses its stored
+    pairs, as a full pass would skip it; pairs another block yields stay.
+    Membership only grows, so the result equals :func:`block_index` over
+    the union."""
     keys = _surface_keys(seen)
     fresh = pc.unique(keys)
     fresh = fresh.filter(pc.invert(pc.is_in(fresh, value_set=_surface_keys(index.surfaces))))
     # each new key's first row in ``seen``
     new = seen.select(SURFACE_KEYS_SCHEMA.names).take(pc.index_in(fresh, value_set=keys))
     new = new.cast(SURFACE_KEYS_SCHEMA).sort_by([("type", "ascending"), ("surface", "ascending")])
-    new_members = block_keys_batch(new)
-    touched = pc.unique(new_members.column("block"))
-    old = index.members.filter(pc.is_in(index.members.column("block"), value_set=touched))
-    old_by: dict[str, list[str]] = {}
-    for b, s in zip(old.column("block").to_pylist(), old.column("surface").to_pylist()):
-        old_by.setdefault(b, []).append(s)
+    new_members = block_keys_batch(new).cast(BLOCK_ROWS_SCHEMA)
     new_by: dict[str, list[str]] = {}
     types: dict[str, str] = {}
     for b, t, s in zip(*(new_members.column(c).to_pylist() for c in BLOCK_ROWS_SCHEMA.names)):
         new_by.setdefault(b, []).append(s)
         types[b] = t
+    old_by: dict[str, list[str]] = {}
+    if new_by:
+        for batch in index.member_batches(pa.array(list(new_by), pa.string())):
+            for b, s in zip(batch.column("block").to_pylist(), batch.column("surface").to_pylist()):
+                olds = old_by.setdefault(b, [])
+                if len(olds) <= MAX_BLOCK:  # past that, only "too big" matters
+                    olds.append(s)
     out: list[tuple[str, str, str, str]] = []
-    tested = retracted = 0
+    retracted: list[str] = []
+    tested = 0
     for block, news in new_by.items():
         olds = old_by.get(block, [])
         if len(olds) + len(news) > MAX_BLOCK:
-            retracted += len(olds) <= MAX_BLOCK
+            if len(olds) <= MAX_BLOCK:
+                retracted.append(block)
             continue
         cands = [(n, o) for n in news for o in olds]
         cands += [(news[i], news[j]) for i in range(len(news)) for j in range(i + 1, len(news))]
@@ -604,26 +676,27 @@ def extend_index(index: BlockIndex, seen: pa.Table) -> tuple[BlockIndex, BlockIn
             a, b = min(x, y), max(x, y)
             if surfaces_match(a, b):
                 out.append((block, types[block], a, b))
-    new_pairs = pa.table(
-        [list(col) for col in zip(*out)] if out else [[], [], [], []], schema=BLOCK_PAIRS_SCHEMA
+    increment = IndexIncrement(
+        new,
+        new_members,
+        pa.table(
+            [list(col) for col in zip(*out)] if out else [[], [], [], []],
+            schema=BLOCK_PAIRS_SCHEMA,
+        ),
+        pa.table([retracted], schema=RETRACTED_SCHEMA),
     )
-    members = pa.concat_tables([index.members, new_members])
     merged = BlockIndex(
+        index.index_dir,
+        (*index.parts, len(index.parts)),
         pa.concat_tables([index.surfaces, new]),
-        members,
-        _drop_oversized(members, pa.concat_tables([index.pairs, new_pairs])),
+        _drop_retracted(
+            pa.concat_tables([index.pairs, increment.pairs]), increment.retracted.column("block")
+        ),
     )
-    counts = {"surfaces_keyed": _n_linked(new), "pairs_tested": tested, "blocks_retracted": retracted}
-    return merged, BlockIndex(new, new_members, new_pairs), counts
-
-
-def _drop_oversized(members: pa.Table, pairs: pa.Table) -> pa.Table:
-    """``pairs`` minus those of blocks past MAX_BLOCK members.  The stored
-    files keep a block's pairs after it grows past the cap, so this runs
-    over every block, not only the ones the last append touched."""
-    sizes = _block_sizes(members)
-    big = sizes.field("values").filter(pc.greater(sizes.field("counts"), MAX_BLOCK))
-    return pairs.filter(pc.invert(pc.is_in(pairs.column("block"), value_set=big)))
+    counts = {
+        "surfaces_keyed": _n_linked(new), "pairs_tested": tested, "blocks_retracted": len(retracted),
+    }
+    return merged, increment, counts
 
 
 def link_entities(index: BlockIndex, *, consolidate=None):

@@ -352,7 +352,7 @@ def test_two_appends_link_only_their_new_surfaces(tail_parts, tail_full, tmp_pat
         # the linking.surfaces_relinked gate: the delta, not the union
         assert 0 < link["surfaces_keyed"] == len(new) < len(new | earlier)
         assert link["blocks_retracted"] == 0
-        assert os.path.isfile(f"{out}/linking_index/members-{k}.parquet")
+        assert os.path.isfile(f"{out}/linking_index/members-{k}/part-0.parquet")
     _assert_equal_outputs(out, tail_full)
 
     # a rerun with no new pages reuses the linking manifest as it is
@@ -385,12 +385,12 @@ def test_crash_before_linking_manifest_relinks_in_full(
         run_kg(pages, out, **_tail_kwargs())
     monkeypatch.setattr(lineage, "write_manifest", real)
     assert lineage.load_manifest(out, "linking") is None
-    assert os.path.isfile(f"{out}/linking_index/members-1.parquet")
+    assert os.path.isfile(f"{out}/linking_index/members-1/part-0.parquet")
 
     run_kg(pages, out, **_tail_kwargs())
     link = lineage.load_manifest(out, "linking")
     assert link["mode"] == "full" and link["index"] == [0]
-    assert not os.path.exists(f"{out}/linking_index/members-1.parquet")
+    assert not os.path.exists(f"{out}/linking_index/members-1")
     _assert_equal_outputs(out, tail_full)
 
 
@@ -411,3 +411,47 @@ def test_append_past_threshold_runs_the_scale_plan(tail_parts, tail_full, tmp_pa
     assert link["index"] is None and not os.path.exists(f"{out}/linking_index")
     assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == ("distributed", "join")
     _assert_equal_outputs(out, tail_full)
+
+
+def _mentionless_pages(path, n=5):
+    """Pages with text but no taggable mention: their mentions generation
+    explodes to no rows, so it has no directory."""
+    import datetime
+
+    body = "Marble stone kappa lambda summit onyx omega onyx cloud lagoon."
+    html = f"<html><body><main><p>{body}</p></main></body></html>".encode()
+    pq.write_table(
+        pa.table(
+            {
+                "url": [f"https://quiet.example.test/page/{i}" for i in range(n)],
+                "warc_ts": pa.array([datetime.datetime(2020, 1, 2)] * n, pa.timestamp("us")),
+                "html": pa.array([html] * n, pa.binary()),
+                "text": pa.array([body] * n, pa.large_string()),
+                "lang": ["en"] * n,
+            }
+        ),
+        path,
+    )
+
+
+def test_append_with_no_mentions_links_as_a_delta(tail_parts, tmp_path_factory):
+    """An append whose pages hold no mention adds a generation with no
+    mentions directory; the delta links nothing new and the outputs equal
+    a from-scratch build."""
+    base = str(tmp_path_factory.mktemp("quiet_append"))
+    quiet = os.path.join(base, "quiet.parquet")
+    _mentionless_pages(quiet)
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, quiet)
+    run_kg(pages, out, **_tail_kwargs())
+    link = lineage.load_manifest(out, "linking")
+    assert sorted(link["gens"]) == ["g0", "g1"] and not os.path.exists(f"{out}/mentions/g1")
+    assert link["mode"] == "delta" and link["surfaces_keyed"] == link["pairs_tested"] == 0
+
+    clean_pages, clean = os.path.join(base, "clean_pages"), os.path.join(base, "clean")
+    _grow(clean_pages, tail_parts[0])
+    _grow(clean_pages, quiet)
+    run_kg(clean_pages, clean, **_tail_kwargs())
+    _assert_equal_outputs(out, clean)

@@ -12,6 +12,7 @@ past ``MAX_BLOCK`` whose stored pair no other block yields.
 """
 
 import random
+import tempfile
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -20,13 +21,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdf_entity_extraction_ray.stages.linking import (
+    BLOCK_ROWS_SCHEMA,
     MAX_BLOCK,
+    BlockIndex,
     BlockKeyer,
     block_index,
     extend_index,
     link_entities,
     surfaces_match,
 )
+
+
+# the indexes' members live on disk; removed when the interpreter exits
+_INDEX_ROOT = tempfile.TemporaryDirectory(prefix="block_index_")
 
 
 def _table(rows):
@@ -39,14 +46,18 @@ def _table(rows):
 def _full(rows):
     """``block_index`` over ``rows`` (one Ray execution; the rows are
     already distinct, as ``distinct_surfaces`` would give them)."""
-    return block_index(ray.data.from_arrow(_table(sorted(set(rows)))))
+    index_dir = tempfile.mkdtemp(dir=_INDEX_ROOT.name)
+    return block_index(ray.data.from_arrow(_table(sorted(set(rows)))), index_dir)
 
 
 def _delta(base, *appends):
+    """``_full(base)``, then each append extends the index and writes its
+    increment, as the pipeline does."""
     index, _ = _full(base)
     counts = []
     for rows in appends:
-        index, _increment, c = extend_index(index, _table(rows))
+        index, increment, c = extend_index(index, _table(rows))
+        increment.write(index.index_dir, index.parts[-1])
         counts.append(c)
     return index, counts
 
@@ -55,12 +66,19 @@ def _sorted(tbl):
     return tbl.sort_by([(n, "ascending") for n in tbl.column_names])
 
 
+def _members(index):
+    return pa.Table.from_batches(index.member_batches(), schema=BLOCK_ROWS_SCHEMA)
+
+
 def _assert_same_as_full(index, union):
     full, _ = _full(union)
     assert link_entities(index).equals(link_entities(full))
-    assert _sorted(index.members).equals(_sorted(full.members))
+    assert _sorted(_members(index)).equals(_sorted(_members(full)))
     assert _sorted(index.pairs).equals(_sorted(full.pairs))
     assert _sorted(index.surfaces).equals(_sorted(full.surfaces))
+    # the written index reads back as the one in memory
+    read = BlockIndex.read(index.index_dir, index.parts)
+    assert read.surfaces.equals(index.surfaces) and read.pairs.equals(index.pairs)
 
 
 def _node(surface_map, surface):

@@ -53,9 +53,9 @@ def _tag_batch_fn(gaz):
     return tag
 
 
-def test_distributed_matches_driver_path(small_corpus):
+def test_distributed_matches_driver_path(small_corpus, tmp_path):
     distinct = distinct_surfaces(_mentions_ds(small_corpus))
-    surface_map = link_entities(block_index(distinct)[0])
+    surface_map = link_entities(block_index(distinct, str(tmp_path))[0])
     by_key = [("type", "ascending"), ("surface", "ascending")]
     assert surface_map.num_rows > 0
     assert surface_map.schema == SURFACE_MAP_SCHEMA
