@@ -126,6 +126,50 @@ def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
     return lineage.fingerprint({"fp": fp, "gen": gen_name, "files": files})
 
 
+@functools.lru_cache(maxsize=1)
+def _driver_footers():
+    """A Parquet metadata provider that reads every file footer on the
+    driver.  Past ``PARALLELIZE_META_FETCH_THRESHOLD`` (24) files, Ray
+    Data's default provider fetches footers with Ray tasks of 0.5 CPU, 6
+    files each.  A table of two generations (16 bucket files each) then
+    launches 5 such tasks, and with 4 idle workers the fifth waited ~0.6 s
+    for a new worker process (seen with ``ray.timeline``) in about a third
+    of ``tail_append`` builds, the largest spread in that workload's wall.
+    The footers of the pipeline's own tables read in milliseconds here."""
+    from ray.data.datasource.parquet_meta_provider import (
+        PARALLELIZE_META_FETCH_THRESHOLD,
+        ParquetMetadataProvider,
+    )
+
+    class DriverFooters(ParquetMetadataProvider):
+        def prefetch_file_metadata(self, fragments, **ray_remote_args):
+            # the base class reads up to the threshold in-process; a short
+            # chunk (a file without footer metadata) ends the list, as it
+            # does there, and Ray pads the rest with None
+            out = []
+            step = PARALLELIZE_META_FETCH_THRESHOLD
+            for i in range(0, len(fragments), step):
+                chunk = fragments[i : i + step]
+                got = super().prefetch_file_metadata(chunk) or []
+                out += got
+                if len(got) < len(chunk):
+                    break
+            return out
+
+    return DriverFooters()
+
+
+def _read_generations(table_dir: str, **kwargs):
+    """``ray.data.read_parquet`` of a generation-partitioned table this
+    pipeline wrote (mentions, triples), its footers read on the driver
+    (:func:`_driver_footers`).  ``meta_provider`` is a deprecated argument
+    of Ray 2.49's ``read_parquet``; its DeprecationWarning is ignored by
+    Python's default filters."""
+    import ray.data
+
+    return ray.data.read_parquet(table_dir, meta_provider=_driver_footers(), **kwargs)
+
+
 @dataclasses.dataclass(frozen=True)
 class _StageSpec:
     """Stage class + kwargs, hashed by (class, ``lineage.fingerprint(kwargs)``)."""
@@ -571,7 +615,7 @@ def run_kg(
 
                 # prune at the read: linking consumes only (type, surface)
                 distinct = distinct_surfaces(
-                    ray.data.read_parquet(
+                    _read_generations(
                         mentions_dir, columns=["type", "surface"], override_num_blocks=nblocks
                     )
                 )
@@ -652,12 +696,12 @@ def run_kg(
 
             from ..stages.graph import build_edges_from_canonical
 
-            mentions_read = ray.data.read_parquet(
+            mentions_read = _read_generations(
                 mentions_dir,
                 columns=["type", "surface", "url"],
                 override_num_blocks=nblocks,
             )
-            triples_read = ray.data.read_parquet(triples_dir, override_num_blocks=nblocks)
+            triples_read = _read_generations(triples_dir, override_num_blocks=nblocks)
             if rewrite_plan == "join":
                 from ..stages.graph import build_nodes_join, canonical_triples_join
 

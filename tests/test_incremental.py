@@ -55,6 +55,34 @@ def test_snapshot_delta_append_same_changed():
     assert lineage.snapshot_delta(gens2, grown) == []
 
 
+def test_generation_reads_fetch_footers_without_ray_tasks(tmp_path, monkeypatch):
+    """Two generations of 16 bucket files pass Ray Data's 24-file footer
+    threshold; ``_read_generations`` still reads every footer on the
+    driver (a footer task that waits for a new worker stalls the build)
+    and yields the same rows and row count as ``read_parquet``."""
+    import ray.data
+    from ray.data.datasource import parquet_meta_provider
+
+    from pdf_entity_extraction_ray.pipelines.kg import _read_generations
+
+    for g in range(2):
+        for b in range(16):
+            d = tmp_path / f"g{g}" / f"bucket={b}"
+            d.mkdir(parents=True)
+            pq.write_table(pa.table({"x": [100 * g + b, 100 * g + b + 50]}), d / "part-0.parquet")
+    expected = sorted(r["x"] for r in ray.data.read_parquet(str(tmp_path)).take_all())
+
+    def footer_tasks(*args, **kwargs):
+        raise AssertionError("footers fetched with Ray tasks")
+
+    monkeypatch.setattr(parquet_meta_provider, "_fetch_metadata_parallel", footer_tasks)
+    with pytest.raises(AssertionError, match="Ray tasks"):
+        ray.data.read_parquet(str(tmp_path))  # the default provider takes the task path
+    ds = _read_generations(str(tmp_path), override_num_blocks=4)
+    assert ds.count() == 64
+    assert sorted(r["x"] for r in ds.take_all()) == expected
+
+
 # ------------------------------------------------------------------ e2e
 
 
