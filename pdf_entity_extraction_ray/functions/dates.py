@@ -183,30 +183,41 @@ def relative_match_in_lang(match: re.Match, lang: str | None) -> bool:
     return word in _DAY_WORDS_BY_LANG["en"] or word in _DAY_WORDS_BY_LANG.get(lang, {})
 
 
-def parse_date_anchored(text: str, anchor: _dt.date | None) -> _dt.date | None:
+def relative_matches(text: str, lang: str | None) -> Iterator[re.Match]:
+    """:data:`RELATIVE_RE` matches in ``text`` that read as dates on a page
+    in ``lang`` (:func:`relative_match_in_lang`)."""
+    return (m for m in RELATIVE_RE.finditer(text) if relative_match_in_lang(m, lang))
+
+
+def parse_date_anchored(
+    text: str, anchor: _dt.date | None, lang: str | None = None
+) -> _dt.date | None:
     """Absolute grammar first (anchor-independent), then — when an
-    anchor is provided — the relative grammar.  With ``anchor=None``
-    this is exactly :func:`parse_date` (bit-identical legacy behavior;
-    the planted gold suites pass no anchor)."""
+    anchor is provided — the first relative expression that reads as a
+    date in ``lang`` (English forms only when ``lang`` is None).  With
+    ``anchor=None`` this is exactly :func:`parse_date` (bit-identical
+    legacy behavior; the planted gold suites pass no anchor)."""
     parsed = parse_date(text)
     if parsed is not None or anchor is None:
         return parsed
-    return parse_relative_date(text, anchor)
+    match = next(relative_matches(text, lang), None)
+    return None if match is None else parse_relative_date(match.group(0), anchor)
 
 
 def search_dates_anchored(
-    text: str, anchor: _dt.date | None
+    text: str, anchor: _dt.date | None, lang: str | None = None
 ) -> list[tuple[str, _dt.date]]:
     """Absolute + (with an anchor) relative date expressions in
     occurrence order, absolute matches winning overlaps — the
     ``dateparser.search.search_dates`` shape with deterministic
-    anchoring."""
+    anchoring.  Relative expressions count as in
+    :func:`parse_date_anchored`."""
     out = [(m.start(), m.group(0), d) for m, d in (
         (m, parse_date(m.group(0))) for m in DATE_RE.finditer(text)
     ) if d is not None]
     if anchor is not None:
         covered = [(s, s + len(t)) for s, t, _ in out]
-        for m in RELATIVE_RE.finditer(text):
+        for m in relative_matches(text, lang):
             if any(a < m.end() and m.start() < b for a, b in covered):
                 continue
             d = parse_relative_date(m.group(0), anchor)

@@ -839,14 +839,14 @@ def relative_date_mentions(pages_ds):
     expression in a page's text resolves against THAT PAGE's crawl date
     (``warc_ts``), never a wall clock, so reruns and workers agree.
     A day-word of another language than English counts only on pages of
-    that ``lang`` (:func:`~..functions.dates.relative_match_in_lang`).
+    that ``lang`` (:func:`~..functions.dates.relative_matches`).
 
     Stateless map_batches (compiled grammar, per-doc scan — the
     tokenizer discipline); emits ``(url, expr, resolved)`` with the
     resolved date as an ISO string (hash-stable)."""
     import datetime as _dt
 
-    from ..functions.dates import RELATIVE_RE, parse_relative_date, relative_match_in_lang
+    from ..functions.dates import parse_relative_date, relative_matches
 
     def scan(batch: pa.Table) -> pa.Table:
         urls, exprs, dates = [], [], []
@@ -861,9 +861,7 @@ def relative_date_mentions(pages_ds):
                 anchor = _dt.datetime.fromtimestamp(
                     ts_us / 1e6, tz=_dt.timezone.utc
                 ).date()
-                for m in RELATIVE_RE.finditer(text):
-                    if not relative_match_in_lang(m, lang):
-                        continue
+                for m in relative_matches(text, lang):
                     d = parse_relative_date(m.group(0), anchor)
                     if d is not None:
                         urls.append(url)

@@ -118,6 +118,18 @@ def _bucket_rows(table_dir: str) -> tuple[int, dict[int, int]]:
     return total, per
 
 
+def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
+    """``ds.write_parquet(path)``, or one empty ``schema`` file at ``path``
+    when ``ds`` has no rows: Ray 2.49 then writes no file and no
+    directory, and a later read of ``path`` raises."""
+    import pyarrow.parquet as pq
+
+    ds.write_parquet(path)
+    if not os.path.isdir(path):
+        os.makedirs(path)
+        pq.write_table(schema.empty_table(), os.path.join(path, "part-0.parquet"))
+
+
 def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
     """Identity of one generation's output: phase config + the exact
     source files it consumed.  Used both as the per-bucket completion
@@ -623,11 +635,13 @@ def run_kg(
                 n_distinct = distinct.count()
                 scale = n_distinct > auto_threshold
             if scale:
-                from ..stages.linking import link_entities_distributed
+                from ..stages.linking import SURFACE_MAP_SCHEMA, link_entities_distributed
 
                 # surface map written straight from the Dataset; the driver
                 # reads only its node_id column (P4 joins read the Parquet)
-                link_entities_distributed(distinct).write_parquet(surface_map_dir)
+                _write_parquet(
+                    link_entities_distributed(distinct), surface_map_dir, SURFACE_MAP_SCHEMA
+                )
                 node_ids = pq.read_table(surface_map_dir, columns=["node_id"]).column("node_id")
                 # the scale plan keeps no index and does not count pair tests
                 parts = None
@@ -694,7 +708,9 @@ def run_kg(
             # (in-thread dataset construction is safe: see the P2 note)
             from concurrent.futures import ThreadPoolExecutor
 
-            from ..stages.graph import build_edges_from_canonical
+            from ..stages.graph import (
+                CANONICAL_TRIPLES_SCHEMA, EDGES_SCHEMA, NODES_SCHEMA, build_edges_from_canonical,
+            )
 
             mentions_read = _read_generations(
                 mentions_dir,
@@ -715,8 +731,8 @@ def run_kg(
                 canon_ds = canonical_triples(triples_read, surface_map_ref)
 
             def canonical_then_edges():
-                canon_ds.write_parquet(canon_dir)
-                build_edges_from_canonical(
+                _write_parquet(canon_ds, canon_dir, CANONICAL_TRIPLES_SCHEMA)
+                edges_ds = build_edges_from_canonical(
                     ray.data.read_parquet(
                         canon_dir,
                         columns=[
@@ -725,11 +741,12 @@ def run_kg(
                         ],
                         override_num_blocks=nblocks,
                     )
-                ).write_parquet(edges_dir)
+                )
+                _write_parquet(edges_ds, edges_dir, EDGES_SCHEMA)
 
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [
-                    pool.submit(nodes_ds.write_parquet, nodes_dir),
+                    pool.submit(_write_parquet, nodes_ds, nodes_dir, NODES_SCHEMA),
                     pool.submit(canonical_then_edges),
                 ]
                 for f in futures:

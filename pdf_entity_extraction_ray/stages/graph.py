@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 
 from ..functions.dates import parse_date
 from .linking import LINKED_TYPES, _join_parts, node_id_of, part_keyed_reduce
+from .relations import TRIPLES_SCHEMA
 
 # urls/aliases per node are capped in the materialized table (a country
 # appearing on 10^9 pages must not produce a 10^9-element list cell)
@@ -291,6 +292,18 @@ def build_nodes(mentions_ds, surface_map_ref):
 # canonical triples (carries node ids so edges need no further lookups)
 
 _CANONICAL_COLUMNS = ["subj_canonical", "obj_canonical", "src_id", "dst_id"]
+# the canonical-triples table the pipeline writes: the triples, their
+# bucket (read from the triples' hive paths) and the canonical columns
+CANONICAL_TRIPLES_SCHEMA = pa.schema(
+    [
+        *TRIPLES_SCHEMA,
+        ("bucket", pa.string()),
+        ("subj_canonical", pa.string()),
+        ("obj_canonical", pa.string()),
+        ("src_id", pa.int64()),
+        ("dst_id", pa.int64()),
+    ]
+)
 
 
 def _fill_triples(batch: pa.Table) -> pa.Table:

@@ -23,15 +23,17 @@ surface forms and consolidates each group with an LLM call.  Here:
    (check_heuristics.py:175-226).  Oversized blocks (stop-word-like keys)
    are skipped, mirroring LSH banding's intent; the words that matter for
    recall also appear in smaller, rarer blocks.
-4. **components** — two interchangeable paths with identical output:
-   the driver path (``block_index`` hands the driver each block's similar
-   pairs and writes each block's members to disk, ``link_entities``
-   closes the edge list with union-find and returns the surface map as
-   one Arrow table); the
-   distributed path (``link_entities_distributed``) runs BSP min-label
-   propagation (``label_propagation_components``) so neither the surface
-   universe nor the edges ever land on the driver — the
-   10^8+-distinct-surface route.
+4. **components** — two plans with identical output and one kernel.
+   Each labels the linked surfaces so that surfaces the similar pairs
+   connect share a label: the driver plan (``block_index`` hands the
+   driver each block's similar pairs and writes each block's members to
+   disk) by union-find in ``link_entities``; the scale plan
+   (``link_entities_distributed``) by BSP min-label propagation
+   (``label_propagation_components``), joined once onto the distinct
+   table, so neither the surface universe nor the edges ever land on the
+   driver — the 10^8+-distinct-surface route.  Either way
+   :func:`_cluster_assign_partition` turns the labeled rows into the
+   surface map under the A9 contract.
 5. **appends** — the driver path's :class:`BlockIndex` persists;
    ``extend_index`` block-keys only an append's new surfaces, reads the
    stored members of just the blocks they touch, and tests only the pairs
@@ -215,48 +217,41 @@ def build_cluster_map(
     consolidate=None,
 ) -> dict[tuple[str, str], tuple[int, str]]:
     """(type, a, b) edges + (type, surface) universe ->
-    {(type, surface): (node_id, canonical)}.
+    {(type, surface): (node_id, canonical)}: the dict form of
+    :func:`link_entities`, with ``consolidate`` as in
+    :func:`_cluster_assign_partition`.  Deterministic: union-find roots
+    are order-independent, representatives a pure function of the member
+    set."""
+    edges = list(edges)
+    universe = pa.table(
+        [list(col) for col in zip(*all_surfaces)] or [[], []],
+        schema=SURFACE_KEYS_SCHEMA,
+    )
+    pairs = pa.table([list(col) for col in zip(*edges)] or [[], [], []], schema=PAIRS_SCHEMA)
+    surface_map = _cluster_assign_partition(_union_find_labels(universe, pairs), consolidate)
+    rows = zip(*(surface_map.column(c).to_pylist() for c in SURFACE_MAP_SCHEMA.names))
+    return {(t, s): (nid, canon) for t, s, nid, canon in rows}
 
-    ``consolidate(group: list[str]) -> str | None`` is the A9 interface
-    hook (the reference's per-group LLM judge, OllamaNERExtractor.py:
-    128-154): it must return one member of the group (never invent a
-    surface) or None to leave the group UNMERGED (the reference's behavior
-    when the LLM returns anything but exactly one name).  Default is the
-    deterministic most-complete-name rule.
 
-    Deterministic: union-find roots are order-independent (smaller key
-    wins), representatives are a pure function of the member set.
-    """
+def _union_find_labels(universe: pa.Table, pairs: pa.Table) -> pa.Table:
+    """(type, surface) universe + (type, a, b) similar pairs -> the
+    universe's (type, surface, label) rows, on the driver: surfaces the
+    pairs connect (also through a surface outside the universe) share a
+    label, the index of their union-find root."""
+    keys = _surface_keys(universe)
+    ends = [
+        _surface_keys(pairs.select(["type", end]).rename_columns(SURFACE_KEYS_SCHEMA.names))
+        for end in ("a", "b")
+    ]
+    nodes = pc.unique(pa.concat_arrays([keys, *ends]))
     uf = UnionFind()
-    for typ, a, b in edges:
-        uf.union((typ, a), (typ, b))
-    for typ, surface in all_surfaces:
-        uf.find((typ, surface))
-
-    members: dict[tuple[str, str], list[str]] = {}
-    for typ, surface in all_surfaces:
-        root = uf.find((typ, surface))
-        members.setdefault(root, []).append(surface)
-
-    cluster_map: dict[tuple[str, str], tuple[int, str]] = {}
-    for root, group in members.items():
-        typ = root[0]
-        if consolidate is None or len(group) == 1:
-            canon = representative(group)
-        else:
-            canon = consolidate(sorted(group))
-            if canon is not None and canon not in group:
-                raise ValueError(
-                    f"consolidator invented surface {canon!r} not in group"
-                )
-        if canon is None:  # group left unmerged (reference A9 contract)
-            for surface in group:
-                cluster_map[(typ, surface)] = (node_id_of(typ, surface), surface)
-            continue
-        nid = node_id_of(typ, canon)
-        for surface in group:
-            cluster_map[(typ, surface)] = (nid, canon)
-    return cluster_map
+    for x, y in zip(*(pc.index_in(e, value_set=nodes).to_pylist() for e in ends)):
+        uf.union(x, y)
+    labels = [uf.find(i) for i in pc.index_in(keys, value_set=nodes).to_pylist()]
+    return pa.table(
+        [universe.column("type"), universe.column("surface"), pa.array(labels, pa.int64())],
+        schema=LABELED_SCHEMA,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +333,8 @@ PAIRS_SCHEMA = pa.schema([("type", pa.string()), ("a", pa.string()), ("b", pa.st
 # membership row in this schema, as (block, type, a=surface, b=null)
 BLOCK_PAIRS_SCHEMA = pa.schema([pa.field("block", pa.string()), *PAIRS_SCHEMA])
 SURFACE_KEYS_SCHEMA = pa.schema([("type", pa.string()), ("surface", pa.string())])
+# surfaces labeled by component: equal labels, one component
+LABELED_SCHEMA = SURFACE_KEYS_SCHEMA.append(pa.field("label", pa.int64()))
 RETRACTED_SCHEMA = pa.schema([("block", pa.string())])
 # rows per row group of the block index's membership files, the unit an
 # append's scan of them decodes at a time
@@ -707,18 +704,8 @@ def link_entities(index: BlockIndex, *, consolidate=None):
     callers broadcast it with ``ray.put`` for the rewrite stages.
     """
     linked = index.surfaces.filter(pc.is_in(index.surfaces.column("type"), pa.array(LINKED_TYPES)))
-    universe = list(zip(linked.column("type").to_pylist(), linked.column("surface").to_pylist()))
-    edges = zip(*(index.pairs.column(c).to_pylist() for c in PAIRS_SCHEMA.names))
-    cluster_map = build_cluster_map(sorted(set(edges)), universe, consolidate)
-    surface_map = pa.table(
-        {
-            "type": [t for t, _ in cluster_map],
-            "surface": [s for _, s in cluster_map],
-            "node_id": [nid for nid, _ in cluster_map.values()],
-            "canonical": [c for _, c in cluster_map.values()],
-        },
-        schema=SURFACE_MAP_SCHEMA,
-    )
+    labeled = _union_find_labels(linked, index.pairs.select(PAIRS_SCHEMA.names))
+    surface_map = _cluster_assign_partition(labeled, consolidate)
     return surface_map.sort_by([("type", "ascending"), ("surface", "ascending")])
 
 
@@ -754,32 +741,6 @@ def _sym_edges_batch(batch: pa.Table) -> pa.Table:
     ]
     return pa.table(
         {"u": pa.array(ka + kb, pa.int64()), "v": pa.array(kb + ka, pa.int64())}
-    )
-
-
-MEMBERS_SCHEMA = pa.schema([("node", pa.int64()), ("type", pa.string()), ("surface", pa.string())])
-LABELED_SCHEMA = MEMBERS_SCHEMA.append(pa.field("label", pa.int64()))
-
-
-def _min_member(rows: pa.Table) -> pa.Table:
-    g = rows.group_by("node").aggregate([("type", "min"), ("surface", "min")])
-    return pa.table(
-        [g.column("node"), g.column("type_min"), g.column("surface_min")], schema=MEMBERS_SCHEMA
-    )
-
-
-def _edge_member_rows(batch: pa.Table) -> pa.Table:
-    """(type, a, b) edge batch -> (node, type, surface) rows for both ends."""
-    types = batch.column("type").to_pylist()
-    surfaces = batch.column("a").to_pylist() + batch.column("b").to_pylist()
-    types2 = types + types
-    keys = [node_id_of(t, s) for t, s in zip(types2, surfaces)]
-    return pa.table(
-        {
-            "node": pa.array(keys, pa.int64()),
-            "type": pa.array(types2, pa.string()),
-            "surface": pa.array(surfaces, pa.string()),
-        }
     )
 
 
@@ -1064,128 +1025,122 @@ def _cluster_assign(group: pa.Table, consolidate=None) -> pa.Table:
 
 
 def _cluster_assign_partition(group: pa.Table, consolidate=None) -> pa.Table:
-    """One coarse hash partition (MANY component labels) -> assignment
-    rows.  The per-label analog of :func:`_block_pairs_partition`: at
-    >10^6 clusters, per-label ``map_groups(_cluster_assign)`` pays the
-    UDF + table-construction overhead once per cluster; here labels are
-    detected as vectorized run boundaries and only the representative
-    choice runs in Python.  Output rows identical to per-label
-    :func:`_cluster_assign` (labels never split across hash partitions)."""
+    """Labeled ``(type, surface, label)`` rows, one per distinct (type,
+    surface) -> :data:`SURFACE_MAP_SCHEMA` rows, sorted by (label,
+    surface): the one step where a component (the surfaces sharing a
+    label, all of one type) becomes a node id and a canonical, for both
+    plans.
+
+    Representative selection (A9): ``consolidate(group: list[str]) -> str
+    | None`` is the interface hook (the reference's per-group LLM judge,
+    OllamaNERExtractor.py:128-154), called with a multi-surface
+    component's sorted surfaces.  It must return one member of the group
+    (an invented surface raises ``ValueError``) or None to leave the group
+    UNMERGED, each surface its own node (the reference's behavior when the
+    LLM returns anything but exactly one name).  Default is the
+    deterministic most-complete-name rule (:func:`representative`).  A
+    one-surface component is its own canonical; neither rule runs on it.
+
+    Labels are detected as vectorized run boundaries, so only the
+    multi-surface components run Python (a per-label ``map_groups`` would
+    pay a UDF call and a table build per cluster).  Rows equal per-label
+    :func:`_cluster_assign`'s (labels never split across hash partitions)."""
+    if group.num_rows == 0:
+        return SURFACE_MAP_SCHEMA.empty_table()
     tbl = group.sort_by([("label", "ascending"), ("surface", "ascending")])
     labels = tbl.column("label").combine_chunks().to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(np.r_[True, np.diff(labels) != 0])
     ends = np.r_[starts[1:], len(labels)]
-    surfaces = tbl.column("surface").to_pylist()
+    multi = ends - starts > 1
     types = tbl.column("type").to_pylist()
-    out_t: list[str] = []
-    out_s: list[str] = []
-    out_n: list[int] = []
-    out_c: list[str] = []
-    for s, e in zip(starts, ends):
-        surs = sorted(set(surfaces[s:e]))
-        typ = types[s]
-        if consolidate is None or len(surs) == 1:
-            canon = representative(surs)
-        else:
-            canon = consolidate(surs)
-            if canon is not None and canon not in surs:
-                raise ValueError(f"consolidator invented surface {canon!r} not in group")
-        if canon is None:  # left unmerged (reference A9 contract)
-            for sur in surs:
-                out_t.append(typ)
-                out_s.append(sur)
-                out_n.append(node_id_of(typ, sur))
-                out_c.append(sur)
-        else:
-            nid = node_id_of(typ, canon)
-            for sur in surs:
-                out_t.append(typ)
-                out_s.append(sur)
-                out_n.append(nid)
-                out_c.append(canon)
+    canon = tbl.column("surface").to_pylist()
+    for s, e in zip(starts[multi], ends[multi]):
+        surs = canon[s:e]
+        c = representative(surs) if consolidate is None else consolidate(surs)
+        if c is None:  # group left unmerged (reference A9 contract)
+            continue
+        if c not in surs:
+            raise ValueError(f"consolidator invented surface {c!r} not in group")
+        canon[s:e] = [c] * (e - s)
     return pa.table(
-        {
-            "type": pa.array(out_t, pa.string()),
-            "surface": pa.array(out_s, pa.string()),
-            "node_id": pa.array(out_n, pa.int64()),
-            "canonical": pa.array(out_c, pa.string()),
-        }
+        [
+            tbl.column("type"),
+            tbl.column("surface"),
+            pa.array([node_id_of(t, c) for t, c in zip(types, canon)], pa.int64()),
+            pa.array(canon, pa.string()),
+        ],
+        schema=SURFACE_MAP_SCHEMA,
     )
 
 
-def _singleton_rows(batch: pa.Table) -> pa.Table:
+NODE_KEYED_SCHEMA = SURFACE_KEYS_SCHEMA.append(pa.field("node", pa.int64()))
+
+
+def _node_keyed_rows(batch: pa.Table) -> pa.Table:
+    """Distinct-surface batch -> its linked (type, surface) rows with each
+    surface's node key (the key label propagation labels it by)."""
     if batch.num_rows == 0 or "type" not in batch.column_names:
-        return SURFACE_MAP_SCHEMA.empty_table()
-    types = batch.column("type").to_pylist()
-    surfaces = batch.column("surface").to_pylist()
-    return pa.table(
-        {
-            "type": pa.array(types, pa.string()),
-            "surface": pa.array(surfaces, pa.string()),
-            "node_id": pa.array(
-                [node_id_of(t, s) for t, s in zip(types, surfaces)], pa.int64()
-            ),
-            "canonical": pa.array(surfaces, pa.string()),
-        }
-    )
+        return NODE_KEYED_SCHEMA.empty_table()
+    linked = batch.filter(pc.is_in(batch.column("type"), pa.array(LINKED_TYPES)))
+    types = linked.column("type").to_pylist()
+    surfaces = linked.column("surface").to_pylist()
+    keys = [node_id_of(t, s) for t, s in zip(types, surfaces)]
+    return pa.table([types, surfaces, pa.array(keys, pa.int64())], schema=NODE_KEYED_SCHEMA)
 
 
 def link_entities_distributed(distinct, *, consolidate=None, num_partitions: int | None = None):
     """:func:`distinct_surfaces` Dataset -> surface-map Dataset (type,
     surface, node_id, canonical) with NO driver-side universe: the scale
     path of :func:`link_entities` (same blocking + pair predicates;
-    union-find replaced by :func:`label_propagation_components`; singleton
-    surfaces bypass propagation through a left-anti join).
+    union-find replaced by :func:`label_propagation_components`).
+
+    One join: the linked surfaces, keyed by node, left-join the
+    propagation's (node, label) rows, so a surface in no similar pair
+    keeps its own key as its label; a reduce by label then runs
+    :func:`_cluster_assign_partition`, as the driver path does.
 
     Identical output to the driver path — a test asserts row-for-row
     equality — so the pipeline can switch on universe size without
     changing results.  ``num_partitions`` overrides the locally-capped
     join partition count on a real cluster.
     """
+    import ray.data
+
     n_part = num_partitions or _join_parts()
-    distinct = (
-        distinct.map_batches(
-            lambda b: (
-                b.filter(pc.is_in(b.column("type"), pa.array(LINKED_TYPES)))
-                if b.num_rows and "type" in b.column_names
-                else pa.table(
-                    {"type": pa.array([], pa.string()), "surface": pa.array([], pa.string())}
-                )
-            ).select(["type", "surface"]),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-
-    edges = candidate_pair_edges(distinct).materialize()
-
-    comp = label_propagation_components(edges)
-    # (node, type, surface) dedup — the node key determines both
-    members = part_keyed_reduce(
-        edges,
-        _edge_member_rows,
-        lambda rows: rows.column("node"),
-        _min_member,
-        MEMBERS_SCHEMA,
-        MEMBERS_SCHEMA,
-    )
-    clustered = part_keyed_reduce(
-        members.join(comp, join_type="inner", num_partitions=n_part, on=("node",)),
-        lambda b: b.select(LABELED_SCHEMA.names),
+    # Ray 2.49's join sends an input's schema to every partition only with
+    # the input's first block, and to none when that block is empty, so both
+    # sides keep only their non-empty blocks, and the labels lead with a row
+    # no surface matches (node keys are >= 0): a universe without similar
+    # pairs has no labels
+    keyed = _row_blocks(distinct.map_batches(_node_keyed_rows, batch_format="pyarrow"))
+    if not keyed:
+        return ray.data.from_arrow(SURFACE_MAP_SCHEMA.empty_table())
+    keyed = ray.data.from_arrow_refs(keyed)
+    comp = label_propagation_components(candidate_pair_edges(keyed))
+    no_match = ray.put(pa.table({"node": [-1], "label": [-1]}))
+    comp = ray.data.from_arrow_refs([no_match, *_row_blocks(comp)])
+    return part_keyed_reduce(
+        keyed.join(comp, join_type="left_outer", num_partitions=n_part, on=("node",)),
+        # a surface in no similar pair is its own component
+        lambda b: pa.table(
+            [b.column("type"), b.column("surface"), pc.coalesce(b.column("label"), b.column("node"))],
+            schema=LABELED_SCHEMA,
+        ),
         lambda rows: rows.column("label"),
         lambda g: _cluster_assign_partition(g, consolidate),
         LABELED_SCHEMA,
         SURFACE_MAP_SCHEMA,
     )
 
-    singles = distinct.join(
-        members.select_columns(["type", "surface"]),
-        join_type="left_anti",
-        num_partitions=n_part,
-        on=("type", "surface"),
-    ).map_batches(_singleton_rows, batch_format="pyarrow")
 
-    return clustered.union(singles)
+def _row_blocks(ds) -> list:
+    """The refs of ``ds``'s non-empty blocks, once materialized."""
+    return [
+        ref
+        for bundle in ds.materialize().iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
 
 
 # --------------------------------------------------------------------------

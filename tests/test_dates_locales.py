@@ -166,6 +166,25 @@ class TestRelativeDates:
             ("in 2 weeks", dt.date(2024, 5, 29)),
         ]
 
+    def test_anchored_entry_points_gate_day_words_by_language(self):
+        """German "Hier" is "here" and French "morgen" is no word: on a de
+        page only "morgen" resolves, on a fr page only "Hier"."""
+        import datetime as dt
+
+        from pdf_entity_extraction_ray.functions.dates import (
+            parse_date_anchored,
+            search_dates_anchored,
+        )
+
+        a, text = self.ANCHOR, "Hier ist das Haus, morgen früh"
+        assert search_dates_anchored(text, a, "de") == [("morgen", a + dt.timedelta(1))]
+        assert search_dates_anchored(text, a, "fr") == [("Hier", a - dt.timedelta(1))]
+        assert search_dates_anchored(text, a) == search_dates_anchored(text, a, "en") == []
+        assert parse_date_anchored(text, a, "de") == a + dt.timedelta(1)
+        assert parse_date_anchored(text, a, "fr") == a - dt.timedelta(1)
+        assert parse_date_anchored(text, a) is None
+        assert parse_date_anchored("vu hier, yesterday", a, "de") == a - dt.timedelta(1)
+
     def test_no_word_boundary_false_positives(self):
         from pdf_entity_extraction_ray.functions.dates import RELATIVE_RE
 

@@ -441,12 +441,11 @@ def test_append_past_threshold_runs_the_scale_plan(tail_parts, tail_full, tmp_pa
     _assert_equal_outputs(out, tail_full)
 
 
-def _mentionless_pages(path, n=5):
-    """Pages with text but no taggable mention: their mentions generation
-    explodes to no rows, so it has no directory."""
+def _mentionless_pages(path, n=5, body="Marble stone kappa lambda summit onyx omega onyx cloud lagoon."):
+    """Pages of one sentence, by default with no taggable mention: their
+    mentions generation explodes to no rows, so it has no directory."""
     import datetime
 
-    body = "Marble stone kappa lambda summit onyx omega onyx cloud lagoon."
     html = f"<html><body><main><p>{body}</p></main></body></html>".encode()
     pq.write_table(
         pa.table(
@@ -483,3 +482,27 @@ def test_append_with_no_mentions_links_as_a_delta(tail_parts, tmp_path_factory):
     _grow(clean_pages, quiet)
     run_kg(clean_pages, clean, **_tail_kwargs())
     _assert_equal_outputs(out, clean)
+
+
+def test_corpus_without_triples_writes_empty_edges(tmp_path_factory):
+    """Pages that mention entities but hold no triple: the canonical
+    triples and the edges are empty tables with their columns, the graph
+    manifest counts 0 edges, and a resumed rerun changes nothing."""
+    from pdf_entity_extraction_ray.sources.corpus import cached_catalog
+    from pdf_entity_extraction_ray.stages.graph import CANONICAL_TRIPLES_SCHEMA, EDGES_SCHEMA
+
+    name = cached_catalog(42, 25)[0].aliases[0]
+    base = str(tmp_path_factory.mktemp("no_triples"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    os.makedirs(pages)
+    _mentionless_pages(os.path.join(pages, "part-0.parquet"), body=f"Marble stone {name} summit.")
+    res = run_kg(pages, out, n_buckets=4, concurrency=2)
+    assert res["n_nodes"] > 0 and res["n_edges"] == 0
+    assert lineage.load_manifest(out, "graph")["edges"] == 0
+    for table, schema in (("triples_canonical", CANONICAL_TRIPLES_SCHEMA), ("edges", EDGES_SCHEMA)):
+        assert pads.dataset(f"{out}/{table}").to_table().equals(schema.empty_table()), table
+
+    before = _relpaths_mtimes(out)
+    rerun = run_kg(pages, out, n_buckets=4, concurrency=2)
+    assert rerun["n_edges"] == 0 and rerun["link_wall_sec"] == 0
+    assert _relpaths_mtimes(out) == before

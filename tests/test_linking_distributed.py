@@ -183,3 +183,103 @@ def test_duplicate_surface_rows_never_self_pair():
     assert edges, "the subset-rule pair must survive"
     assert all(r["a"] != r["b"] for r in edges)
     assert all(r["a"] < r["b"] for r in edges)
+
+
+def _distinct_of(rows):
+    """distinct_surfaces over (type, surface) mention rows (its part blocks,
+    empty ones included, as the pipeline gets them)."""
+    mentions = pa.table(
+        {"type": [t for t, _ in rows], "surface": [s for _, s in rows]},
+        schema=pa.schema([("type", pa.string()), ("surface", pa.string())]),
+    )
+    return distinct_surfaces(ray.data.from_arrow(mentions))
+
+
+def _collect(ds) -> pa.Table:
+    tables = [ray.get(ref) for ref in ds.to_arrow_refs()]
+    got = pa.concat_tables(
+        [t for t in tables if t.num_rows] or [SURFACE_MAP_SCHEMA.empty_table()]
+    )
+    return got.sort_by([("type", "ascending"), ("surface", "ascending")])
+
+
+def _catalog_rows():
+    from pdf_entity_extraction_ray.sources.corpus import cached_catalog
+
+    rows = sorted({(c.type, a) for c in cached_catalog(42, 25) for a in c.aliases})
+    return rows + [("DATE", "2004-11-05"), ("DATE", "2004-11-06")]
+
+
+def test_consolidate_hook_gives_equal_maps_under_both_plans(tmp_path):
+    import zlib
+
+    from pdf_entity_extraction_ray.stages.linking import build_cluster_map
+
+    def _mixed_consolidate(group: list[str]):
+        """Leaves about a third of the groups unmerged and, in the rest,
+        picks the shortest surface, not the default most complete one.
+        (Nested, so Ray workers unpickle it by value.)"""
+        if zlib.crc32(group[0].encode()) % 3 == 0:
+            return None
+        return min(group, key=lambda s: (len(s), s))
+
+    distinct = _distinct_of(_catalog_rows())
+    index = block_index(distinct, str(tmp_path))[0]
+    default = link_entities(index)
+    driver = link_entities(index, consolidate=_mixed_consolidate)
+
+    linked = default.select(["type", "surface"])
+    edges = zip(*(index.pairs.column(c).to_pylist() for c in ("type", "a", "b")))
+    universe = list(zip(linked.column("type").to_pylist(), linked.column("surface").to_pylist()))
+    cmap = build_cluster_map(edges, universe, consolidate=_mixed_consolidate)
+    assert [cmap[key] for key in universe] == list(
+        zip(driver.column("node_id").to_pylist(), driver.column("canonical").to_pylist())
+    )
+    assert _collect(link_entities_distributed(distinct, consolidate=_mixed_consolidate)).equals(driver)
+
+    # the hook took both branches: a default component split apart, and one
+    # kept whole on a member the default rule would not pick
+    default_canon = dict(zip(default.column("node_id").to_pylist(), default.column("canonical").to_pylist()))
+    comps: dict[int, set] = {}
+    for d, node, canon in zip(*(t.column(c).to_pylist() for t, c in (
+        (default, "node_id"), (driver, "node_id"), (driver, "canonical")
+    ))):
+        comps.setdefault(d, set()).add((node, canon))
+    assert any(len(rows) > 1 for rows in comps.values())
+    assert any(
+        len(rows) == 1 and next(iter(rows))[1] != default_canon[d] for d, rows in comps.items()
+    )
+
+
+def test_no_linked_surface_gives_empty_map_under_both_plans(tmp_path):
+    distinct = _distinct_of([("DATE", "2004-11-05"), ("DATE", "2004-11-06")])
+    driver = link_entities(block_index(distinct, str(tmp_path))[0])
+    assert driver.equals(SURFACE_MAP_SCHEMA.empty_table())
+    assert _collect(link_entities_distributed(distinct)).equals(SURFACE_MAP_SCHEMA.empty_table())
+
+
+def test_tiny_universes_equal_under_both_plans(tmp_path):
+    """A few surfaces leave most join partitions without rows of one side."""
+    cases = [
+        [("ORG", "Acme Corp")],
+        [("ORG", "Acme Corp"), ("ORG", "Acme Corporation")],
+        [("ORG", "Acme Corp"), ("PERSON", "Zed Qin"), ("DATE", "2004-11-05")],
+    ]
+    for k, rows in enumerate(cases):
+        distinct = _distinct_of(rows)
+        driver = link_entities(block_index(distinct, str(tmp_path / str(k)))[0])
+        assert driver.num_rows == len([r for r in rows if r[0] != "DATE"])
+        assert _collect(link_entities_distributed(distinct)).equals(driver), rows
+
+
+def test_distributed_links_with_one_join(monkeypatch):
+    joins = []
+    join = ray.data.Dataset.join
+
+    def counted(self, *args, **kwargs):
+        joins.append(kwargs.get("join_type"))
+        return join(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "join", counted)
+    assert _collect(link_entities_distributed(_distinct_of(_catalog_rows()))).num_rows > 0
+    assert joins == ["left_outer"]
