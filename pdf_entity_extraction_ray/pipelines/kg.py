@@ -6,14 +6,19 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
                    relation patterns) -> nested per-segment annotations
                    Parquet, one fused Ray task per block
                    (bucket-partitioned by hash(url))
-  P2 explodes    : annotations -> flat mentions and triples Parquet
+  P2 explodes    : annotations -> flat mentions and triples Parquet, and
+                   per block their surface-keyed graph partials
   P3 linking     : mentions -> distinct surfaces (whose count picks the
                    plan) -> LSH blocks -> pair test -> union-find (label
                    propagation past the threshold) -> surface map (an
                    Arrow table, also written as Parquet); an append
                    extends the driver plan's persisted block index instead
-  P4 graph       : mentions + surface map -> nodes Parquet, concurrently
-                   with triples + surface map -> canonical triples -> edges
+  P4 graph       : driver plan: graph partials relabeled through the
+                   surface map and folded into nodes and edges on the
+                   driver; triples + surface map -> canonical triples per
+                   generation.  Scale plan: shuffle joins of mentions and
+                   triples against the map, then edges from the canonical
+                   triples
 
 The reference's equivalent lifecycle is E2 -> E3 of SURVEY §3
 (run.py:14-27 then check_performance.py:32-91) with in-memory state and
@@ -29,17 +34,24 @@ generations it consumed and keeps its block index (``linking_index/``,
 beside ``surface_map/``); under the driver plan an append block-keys and
 pair-tests only its new surfaces against that index on the driver, with
 no Ray execution, and reruns union-find over the stored and new pairs.
-P4 graph fingerprints the full input snapshot and recomputes over the
-union.  Re-running after an append therefore costs O(new pages) tagging
-and pair tests + O(corpus) union-find/graph, never O(corpus) model
-inference.  Generalizes the reference's per-document skip-if-cached
-(src/cache_data.py:15-16) to whole-corpus delta processing.
+P4 records the generations it consumed too.  Its node and edge partials
+are keyed by surface, so they never depend on the map: an append folds
+every generation's partials on the driver, writes its own canonical
+triples generation and rewrites only the stored ones holding a surface
+whose node the append's link changed, again with no Ray execution.
+Re-running after an append therefore costs O(new pages) tagging, pair
+tests and canonical rewrites + O(corpus) driver-side union-find and
+partial folds over (type, surface)-sized inputs, never O(corpus) model
+inference or Ray executions.  Generalizes the reference's per-document
+skip-if-cached (src/cache_data.py:15-16) to whole-corpus delta
+processing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import os
 
 import pyarrow as pa
@@ -69,11 +81,14 @@ except Exception:  # pragma: no cover
 from ..sources.corpus import cached_catalog, catalog_gazetteer
 from ..stages.annotate import Annotator, explode_mentions_batch, explode_triples_batch
 from ..stages.extract import extract_segments_batch
-from ..stages.graph import build_nodes, canonical_triples
+# ``build_nodes`` is not called here; ``perfbench/tracing.py`` wraps it by name
+from ..stages.graph import (  # noqa: F401
+    build_nodes, canonical_triples, surface_partials, triple_partials,
+)
 from ..stages.linking import BlockIndex, block_index, extend_index, link_entities
 from ..state import lineage
 
-CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
+CODE_VERSION = 8  # bump to invalidate all phase outputs (v8: graph partials)
 
 # P3 picks the scale plan (distributed label propagation, then shuffle-join
 # rewrites) when the distinct (type, surface) universe exceeds this, else
@@ -88,8 +103,15 @@ CODE_VERSION = 7  # bump to invalidate all phase outputs (v7: xxhash buckets)
 # surfaces grew the driver's RSS by 93 MB at peak (82 MB before it kept a
 # block index; the index's ~20 membership rows per surface stay on disk),
 # and a 5,000-surface append to it by 125 MB: ~1 GB at 10^6 by linear
-# extrapolation, not measured there.  Outputs are identical across the two
-# plans (tested), so the switch is purely an execution-strategy decision.
+# extrapolation, not measured there.  The driver plan's P4 folds the graph
+# partials on the driver too: over 10^5 synthetic surfaces in 5*10^4
+# clusters and 10^5 triple keys, ``fold_nodes`` + ``fold_edges`` grew the
+# driver's RSS by 164 MB at peak with one url per surface partial, 191 MB
+# with two and 606 MB with the 21-url cap in every partial (1.6-6 GB at
+# 10^6 by the same extrapolation).  That is past the link's order, so it
+# argues against raising this value without a measurement at 10^6.
+# Outputs are identical across the two plans (tested), so the switch is
+# purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
 
 
@@ -120,14 +142,19 @@ def _bucket_rows(table_dir: str) -> tuple[int, dict[int, int]]:
 
 def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
     """``ds.write_parquet(path)``, or one empty ``schema`` file at ``path``
-    when ``ds`` has no rows: Ray 2.49 then writes no file and no
-    directory, and a later read of ``path`` raises."""
+    when ``ds`` is None or has no rows: Ray 2.49 then writes no file and
+    no directory, and a later read of ``path`` raises."""
     import pyarrow.parquet as pq
 
-    ds.write_parquet(path)
+    if ds is not None:
+        ds.write_parquet(path)
     if not os.path.isdir(path):
         os.makedirs(path)
         pq.write_table(schema.empty_table(), os.path.join(path, "part-0.parquet"))
+
+
+def _gen_index(gen_name: str) -> int:
+    return int(gen_name[1:])
 
 
 def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
@@ -369,18 +396,45 @@ def _run_partitioned_phase(
     return table_dir
 
 
+def _partials_dir(out_dir: str, phase: str) -> str:
+    """Where the ``phase`` explode writes its graph partials, one
+    ``g<k>`` subdir per generation."""
+    return os.path.join(out_dir, "graph_partials", phase)
+
+
+def _explode_block(batch: pa.Table, explode_fn, partial_fn, partials_dir: str) -> pa.Table:
+    """One annotations block -> its flat rows.  The block's graph partials
+    (``partial_fn`` of those rows) go to one Parquet file in
+    ``partials_dir`` when there are any, so they never pass through the
+    driver.  The file is named by a hash of the block's first (url,
+    seg_id), which no other block holds, so a retried task rewrites the
+    same file."""
+    import pyarrow.parquet as pq
+
+    rows = explode_fn(batch)
+    partials = partial_fn(rows)
+    if partials.num_rows:
+        first = f"{batch.column('url')[0].as_py()}\x00{batch.column('seg_id')[0].as_py()}"
+        name = hashlib.blake2b(first.encode(), digest_size=8).hexdigest()
+        pq.write_table(partials, os.path.join(partials_dir, f"{name}.parquet"))
+    return rows
+
+
 def _explode_phase(
     out_dir: str,
     phase: str,
     annotations_dir: str,
     explode_fn,
+    partial_fn,
     fp: str,
     resume: bool,
     columns: list[str],
     nblocks: int,
 ) -> str:
     """annotations -> flat table via a stateless explode (whole-phase
-    manifest; the artifact keeps the hive ``bucket`` partitioning).
+    manifest; the artifact keeps the hive ``bucket`` partitioning), and
+    the graph partials of each block (``partial_fn``) under
+    :func:`_partials_dir`.
 
     The annotations artifact is bucket-clustered on disk, and the explode
     preserves block order, so the hive write needs no shuffle; ``columns``
@@ -388,17 +442,18 @@ def _explode_phase(
     ``nblocks`` sets its block count.
 
     Mirrors the annotations artifact's GENERATIONS (incremental appends):
-    each annotation gen explodes into its own ``g<k>`` subdir, keyed by the
-    upstream gen's ``tag`` — an already-exploded gen is skipped, a gen
-    whose upstream was rebuilt (tag change) is re-exploded, and a gen dir
-    present on disk but not recorded done (mid-explode crash) is dropped
-    and redone.  Explodes are cheap relative to tagging, so gen (not
-    bucket) is the resume grain here."""
+    each annotation gen explodes into its own ``g<k>`` subdir of the table
+    and of the partials, keyed by the upstream gen's ``tag`` — an
+    already-exploded gen is skipped, a gen whose upstream was rebuilt (tag
+    change) is re-exploded, and a gen dir present on disk but not recorded
+    done (mid-explode crash) is dropped and redone.  Explodes are cheap
+    relative to tagging, so gen (not bucket) is the resume grain here."""
     import shutil
 
     import ray.data
 
     table_dir = os.path.join(out_dir, phase)
+    partials_dir = _partials_dir(out_dir, phase)
     ann_manifest = lineage.load_manifest(out_dir, "annotations") or {}
     ann_gens: dict = ann_manifest.get("generations", {})
     manifest = lineage.load_manifest(out_dir, phase) if resume else None
@@ -409,24 +464,33 @@ def _explode_phase(
     done: dict = dict(manifest.get("exploded_gens", {})) if manifest else {}
     # done maps gen name -> upstream tag it was exploded from
     done = {g: t for g, t in done.items() if ann_gens.get(g, {}).get("tag") == t}
-    todo = [g for g in sorted(ann_gens, key=lambda n: int(n[1:])) if g not in done]
-    if os.path.isdir(table_dir):
+    todo = [g for g in sorted(ann_gens, key=_gen_index) if g not in done]
+    for root in (table_dir, partials_dir):
         # sweep anything not recorded done: partial gens from a crash AND
         # pre-generation-layout bucket dirs from older code versions
-        for name in os.listdir(table_dir):
+        for name in os.listdir(root) if os.path.isdir(root) else ():
             if name not in done:
-                p = os.path.join(table_dir, name)
+                p = os.path.join(root, name)
                 shutil.rmtree(p, ignore_errors=True) if os.path.isdir(p) else os.remove(p)
     if not todo and manifest is not None:
         return table_dir
     with lineage.PhaseTimer() as timer:
         for g in todo:
+            os.makedirs(os.path.join(partials_dir, g))
             ds = ray.data.read_parquet(
                 os.path.join(annotations_dir, g),
                 columns=columns,
                 override_num_blocks=nblocks,
             )
-            ds = ds.map_batches(explode_fn, batch_format="pyarrow")
+            ds = ds.map_batches(
+                _explode_block,
+                fn_kwargs={
+                    "explode_fn": explode_fn,
+                    "partial_fn": partial_fn,
+                    "partials_dir": os.path.join(partials_dir, g),
+                },
+                batch_format="pyarrow",
+            )
             ds.write_parquet(os.path.join(table_dir, g), partition_cols=["bucket"])
             done[g] = ann_gens[g]["tag"]
     total, per = _bucket_rows(table_dir)
@@ -478,6 +542,217 @@ def _link_delta(
     return merged, increment, counts
 
 
+def _changed_keys(old: pa.Table, new: pa.Table) -> pa.Array:
+    """The ``type\\0surface`` keys the surface maps ``old`` and ``new`` do
+    not map alike: added, removed, or given another (node_id, canonical)."""
+    import pyarrow.compute as pc
+
+    from ..stages.linking import _surface_keys
+
+    def rows(sm):
+        cols = [sm.column(c).cast(pa.string()) for c in ("type", "surface", "node_id", "canonical")]
+        return pc.binary_join_element_wise(*cols, "\x00")
+
+    a, b = rows(old), rows(new)
+    gone = old.filter(pc.invert(pc.is_in(a, value_set=b)))
+    added = new.filter(pc.invert(pc.is_in(b, value_set=a)))
+    return pc.unique(pa.concat_arrays([_surface_keys(gone), _surface_keys(added)]))
+
+
+def _gen_partials(out_dir: str, phase: str, gens: dict, schema: pa.Schema, counts: dict):
+    """The graph partials the ``phase`` explode wrote, one table per
+    generation, read on the driver; adds their rows to ``counts[phase]``."""
+    import pyarrow.dataset as pads
+
+    counts.setdefault(phase, 0)
+    for g in sorted(gens, key=_gen_index):
+        d = os.path.join(_partials_dir(out_dir, phase), g)
+        if os.path.isdir(d):  # a generation without partial rows has no files
+            t = pads.dataset(d, schema=schema, format="parquet").to_table()
+            counts[phase] += t.num_rows
+            yield t
+
+
+def _stored_canonical(out_dir: str, prev: dict | None, graph_gens: dict, map_delta):
+    """The canonical-triples generations an append may keep, or None when
+    P4 rebuilds in full.  A delta needs this call's P3 to have linked as a
+    delta (``map_delta``), from the map the last graph build used, and
+    every triples generation that build recorded on disk with its tag."""
+    if map_delta is None or prev is None or prev.get("canonical") is None:
+        return None
+    if prev["gens"]["mentions"] != map_delta[1]:
+        return None
+    kept = prev["gens"]["triples"]
+    canon_dir = os.path.join(out_dir, "triples_canonical")
+    if any(graph_gens["triples"].get(g) != tag for g, tag in kept.items()) or not all(
+        os.path.isdir(os.path.join(canon_dir, g)) for g in kept
+    ):
+        return None
+    return kept
+
+
+def _hits(out_dir: str, gen: str, keys: pa.Array) -> bool:
+    """Whether a triple partial of ``gen`` has an endpoint in ``keys``."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from ..stages.graph import TRIPLE_PARTIALS_SCHEMA
+
+    d = os.path.join(_partials_dir(out_dir, "triples"), gen)
+    if not os.path.isdir(d) or len(keys) == 0:
+        return False
+    t = pads.dataset(d, schema=TRIPLE_PARTIALS_SCHEMA, format="parquet").to_table(
+        columns=["subj_type", "subj", "obj_type", "obj"]
+    )
+    return any(
+        pc.any(pc.is_in(pc.binary_join_element_wise(t[ty], t[s], "\x00"), value_set=keys)).as_py()
+        for ty, s in (("subj_type", "subj"), ("obj_type", "obj"))
+    )
+
+
+def _graph_driver(
+    out_dir: str, surface_map: pa.Table, graph_gens: dict, stored: dict | None, map_delta, nblocks
+) -> dict:
+    """The driver plan's P4.  Nodes and edges fold every generation's
+    graph partials through the surface map on the driver.  Canonical
+    triples are written per triples generation (``triples_canonical/g<k>``):
+    in full by the broadcast :func:`canonical_triples` Ray map, or, for an
+    append (``stored``: the generations it may keep), on the driver for
+    its new generations and any stored one whose triple partials hold a
+    key the append's link changed.  An append starts no Ray execution.
+    Returns the graph manifest's counts."""
+    import shutil
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray
+
+    from ..stages.graph import (
+        CANONICAL_TRIPLES_SCHEMA, SURFACE_PARTIALS_SCHEMA, TRIPLE_PARTIALS_SCHEMA,
+        canonical_rows, fold_edges, fold_nodes, map_lookup,
+    )
+
+    canon_dir = os.path.join(out_dir, "triples_canonical")
+    triples_dir = os.path.join(out_dir, "triples")
+    t_gens = graph_gens["triples"]
+    lookup = map_lookup(surface_map)
+    if stored is None:
+        shutil.rmtree(canon_dir, ignore_errors=True)
+        rewrite = sorted(t_gens, key=_gen_index)
+        ref = ray.put(surface_map) if rewrite else None
+        for g in rewrite:
+            src = os.path.join(triples_dir, g)
+            # a generation that exploded to no rows has no directory
+            ds = (
+                canonical_triples(_read_generations(src, override_num_blocks=nblocks), ref)
+                if os.path.isdir(src) else None
+            )
+            _write_parquet(ds, os.path.join(canon_dir, g), CANONICAL_TRIPLES_SCHEMA)
+    else:
+        rewrite = [
+            g for g in sorted(t_gens, key=_gen_index)
+            if g not in stored or _hits(out_dir, g, map_delta[0])
+        ]
+        for name in os.listdir(canon_dir) if os.path.isdir(canon_dir) else ():
+            if name not in stored or name in rewrite:
+                shutil.rmtree(os.path.join(canon_dir, name))
+        bucket = pads.partitioning(pa.schema([("bucket", pa.string())]), flavor="hive")
+        for g in rewrite:
+            src = os.path.join(triples_dir, g)
+            rows = CANONICAL_TRIPLES_SCHEMA.empty_table()
+            if os.path.isdir(src):
+                triples = pads.dataset(src, partitioning=bucket).to_table()
+                rows = canonical_rows(triples, lookup).select(CANONICAL_TRIPLES_SCHEMA.names)
+            os.makedirs(os.path.join(canon_dir, g))
+            pq.write_table(
+                rows.cast(CANONICAL_TRIPLES_SCHEMA), os.path.join(canon_dir, g, "part-0.parquet")
+            )
+    counts: dict = {}
+    tables = {
+        "nodes": fold_nodes(
+            _gen_partials(out_dir, "mentions", graph_gens["mentions"], SURFACE_PARTIALS_SCHEMA, counts),
+            lookup,
+        ),
+        "edges": fold_edges(
+            _gen_partials(out_dir, "triples", t_gens, TRIPLE_PARTIALS_SCHEMA, counts), lookup
+        ),
+    }
+    for name, table in tables.items():
+        path = os.path.join(out_dir, name)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        pq.write_table(table, os.path.join(path, "part-0.parquet"))
+    return {
+        "nodes": tables["nodes"].num_rows,
+        "edges": tables["edges"].num_rows,
+        "mode": "full" if stored is None else "delta",
+        "canonical": {
+            "rewritten": rewrite,
+            "reused": sorted(set(t_gens) - set(rewrite), key=_gen_index),
+        },
+        "partial_rows": {"surfaces": counts["mentions"], "triples": counts["triples"]},
+    }
+
+
+def _graph_join(out_dir: str, graph_gens: dict, nblocks: int) -> dict:
+    """The scale plan's P4: nodes and canonical triples by shuffle joins
+    against the surface-map Parquet, then edges from the canonical table.
+    A join whose input has no row is skipped, and its table is the empty
+    schema file: Ray 2.49's hash-shuffle join fails on an input with no
+    non-empty block (``ArrowInvalid``; it hung while another execution ran
+    beside it).  Returns the graph manifest's counts."""
+    import shutil
+
+    import pyarrow.dataset as pads
+    import ray.data
+
+    from ..stages.graph import (
+        CANONICAL_TRIPLES_SCHEMA, EDGES_SCHEMA, NODES_SCHEMA, build_edges_from_canonical,
+        build_nodes_join, canonical_triples_join,
+    )
+
+    def has_rows(phase):
+        # the explodes write a partial file only for a block with rows
+        root = _partials_dir(out_dir, phase)
+        dirs = [os.path.join(root, g) for g in graph_gens[phase]]
+        return any(os.listdir(d) for d in dirs if os.path.isdir(d))
+
+    nodes_dir, edges_dir, canon_dir = (
+        os.path.join(out_dir, n) for n in ("nodes", "edges", "triples_canonical")
+    )
+    for d in (nodes_dir, edges_dir, canon_dir):
+        shutil.rmtree(d, ignore_errors=True)
+    surface_map_dir = os.path.join(out_dir, "surface_map")
+    nodes_ds = canon_ds = edges_ds = None
+    if has_rows("mentions"):
+        mentions = _read_generations(
+            os.path.join(out_dir, "mentions"), columns=["type", "surface", "url"],
+            override_num_blocks=nblocks,
+        )
+        nodes_ds = build_nodes_join(mentions, ray.data.read_parquet(surface_map_dir))
+    _write_parquet(nodes_ds, nodes_dir, NODES_SCHEMA)
+    if has_rows("triples"):
+        triples = _read_generations(os.path.join(out_dir, "triples"), override_num_blocks=nblocks)
+        canon_ds = canonical_triples_join(triples, ray.data.read_parquet(surface_map_dir))
+    _write_parquet(canon_ds, canon_dir, CANONICAL_TRIPLES_SCHEMA)
+    if canon_ds is not None:
+        edges_ds = build_edges_from_canonical(
+            ray.data.read_parquet(
+                canon_dir,
+                columns=["src_id", "pred", "dst_id", "subj_canonical", "obj_canonical", "url"],
+                override_num_blocks=nblocks,
+            )
+        )
+    _write_parquet(edges_ds, edges_dir, EDGES_SCHEMA)
+    return {
+        "nodes": pads.dataset(nodes_dir).count_rows(),
+        "edges": pads.dataset(edges_dir).count_rows(),
+        "mode": "full",
+        "canonical": None,
+        "partial_rows": None,
+    }
+
+
 def run_kg(
     pages_path: str,
     out_dir: str,
@@ -508,8 +783,10 @@ def run_kg(
 
     - at most ``auto_threshold`` (:data:`AUTO_DISTRIBUTED_THRESHOLD`): the
       driver plan.  Union-find closes the components on the driver, and
-      P4 ships the surface map (an Arrow table) once via ``ray.put`` and
-      resolves rows with Arrow ``index_in`` + ``take`` lookups.
+      P4 relabels the explodes' surface-keyed partials through the surface
+      map (an Arrow table) with ``index_in`` + ``take`` lookups and folds
+      nodes and edges on the driver.  A full P4 ships the map once via
+      ``ray.put`` to a Ray map that writes the canonical triples.
     - above it: the scale plan.  Label propagation
       (stages/linking.py ``link_entities_distributed``) writes the map
       straight to Parquet, and P4 rewrites mentions and triples through
@@ -527,11 +804,15 @@ def run_kg(
     (``mode: "delta"`` in the linking manifest, with the surfaces keyed and
     pairs tested); a changed generation, a missing index, ``resume=False``
     or a union past ``auto_threshold`` link the union in full
-    (``mode: "full"``).  Both give the same surface map."""
+    (``mode: "full"``).  Both give the same surface map.  After a delta
+    link, P4 is a delta too (``mode: "delta"`` in the graph manifest, with
+    the canonical generations rewritten and reused and the partial rows
+    folded) when the last graph build used the map the link replaced and
+    its canonical generations are all on disk; the outputs equal a full
+    rebuild's."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     if gazetteer is None:
         gazetteer = catalog_gazetteer(cached_catalog(seed, n_per_type))
@@ -577,13 +858,13 @@ def run_kg(
     with ThreadPoolExecutor(max_workers=2) as pool:
         mentions_fut = pool.submit(
             _explode_phase, out_dir, "mentions", annotations_dir,
-            explode_mentions_batch,
+            explode_mentions_batch, surface_partials,
             lineage.fingerprint({**base_fp, "phase": "mentions"}), resume,
             ["url", "seg_id", "lang", "seg_offset", "mentions", "bucket"], nblocks,
         )
         triples_fut = pool.submit(
             _explode_phase, out_dir, "triples", annotations_dir,
-            explode_triples_batch,
+            explode_triples_batch, triple_partials,
             lineage.fingerprint({**base_fp, "phase": "triples"}), resume,
             ["url", "seg_id", "triples", "bucket"], nblocks,
         )
@@ -606,6 +887,9 @@ def run_kg(
     if link is not None and link["fingerprint"] != fp_link:
         link = None
     relinked = link is None or link.get("gens") != gens
+    # a driver-plan delta's map change, for P4: (the keys it changed, the
+    # generations of the map it replaced)
+    map_delta = None
     with lineage.PhaseTimer() as t_link:
         if relinked:
             import shutil
@@ -654,9 +938,14 @@ def run_kg(
                     index, counts = block_index(distinct, index_dir)
                 parts = list(index.parts)
                 surface_map = link_entities(index)
+                map_path = os.path.join(surface_map_dir, "part-0.parquet")
+                if delta is not None and os.path.isfile(map_path):
+                    # read before the overwrite: P4 rewrites only the
+                    # stored canonical triples that hold a changed key
+                    map_delta = (_changed_keys(pq.read_table(map_path), surface_map), link["gens"])
                 # the map, then a delta's index increment, then the manifest
                 os.makedirs(surface_map_dir, exist_ok=True)
-                pq.write_table(surface_map, os.path.join(surface_map_dir, "part-0.parquet"))
+                pq.write_table(surface_map, map_path)
                 if delta is not None:
                     increment.write(index_dir, parts[-1])
                 node_ids = surface_map.column("node_id")
@@ -678,90 +967,37 @@ def run_kg(
     # a graph rebuild over reused linking runs the plan linking recorded
     linking_plan, rewrite_plan = link["plan"]
 
-    # P4: graph materialize (a full recompute over the union on any change)
-    snap_fp = lineage.fingerprint({"files": lineage.input_snapshot(pages_path)})
-    fp_graph = lineage.fingerprint({**base_fp, "phase": "graph", "pages_snap": snap_fp})
-    nodes_dir = os.path.join(out_dir, "nodes")
-    edges_dir = os.path.join(out_dir, "edges")
-    canon_dir = os.path.join(out_dir, "triples_canonical")
-    recomputed_graph = not (resume and lineage.phase_complete(out_dir, "graph", fp_graph))
-    # the broadcast map is shipped only when P4 actually rebuilds on the
-    # broadcast path — a fully-cached rerun (or the join path) must not
-    # pay the read + object-store copy
-    surface_map_ref = None
-    if recomputed_graph and rewrite_plan == "broadcast":
-        if surface_map is None:  # linking was reused
-            surface_map = pq.read_table(surface_map_dir)
-        surface_map_ref = ray.put(surface_map)
+    # P4: graph.  Its manifest records the mentions and triples
+    # generations it consumed: equal generations reuse it.
+    fp_graph = lineage.fingerprint({**base_fp, "phase": "graph"})
+    graph_gens = {
+        "mentions": gens,
+        "triples": (lineage.load_manifest(out_dir, "triples") or {}).get("exploded_gens", {}),
+    }
+    prev = lineage.load_manifest(out_dir, "graph") if resume else None
+    if prev is not None and prev["fingerprint"] != fp_graph:
+        prev = None
+    recomputed_graph = prev is None or prev.get("gens") != graph_gens
     with lineage.PhaseTimer() as t_graph:
         if recomputed_graph:
-            import shutil
-
             # drop the manifest BEFORE the artifacts (see the P3 note): a
             # crash mid-rebuild must never leave a complete-looking graph
             # manifest over deleted/partial nodes/edges
             lineage.invalidate(out_dir, "graph")
-            for d in (nodes_dir, edges_dir, canon_dir):
-                shutil.rmtree(d, ignore_errors=True)
-            # edges read only the canonical table, so nodes run on one
-            # driver thread and canonical-write -> edges on the other
-            # (in-thread dataset construction is safe: see the P2 note)
-            from concurrent.futures import ThreadPoolExecutor
-
-            from ..stages.graph import (
-                CANONICAL_TRIPLES_SCHEMA, EDGES_SCHEMA, NODES_SCHEMA, build_edges_from_canonical,
-            )
-
-            mentions_read = _read_generations(
-                mentions_dir,
-                columns=["type", "surface", "url"],
-                override_num_blocks=nblocks,
-            )
-            triples_read = _read_generations(triples_dir, override_num_blocks=nblocks)
             if rewrite_plan == "join":
-                from ..stages.graph import build_nodes_join, canonical_triples_join
-
-                def sm_read():
-                    return ray.data.read_parquet(surface_map_dir)
-
-                nodes_ds = build_nodes_join(mentions_read, sm_read())
-                canon_ds = canonical_triples_join(triples_read, sm_read())
+                extra = _graph_join(out_dir, graph_gens, nblocks)
             else:
-                nodes_ds = build_nodes(mentions_read, surface_map_ref)
-                canon_ds = canonical_triples(triples_read, surface_map_ref)
-
-            def canonical_then_edges():
-                _write_parquet(canon_ds, canon_dir, CANONICAL_TRIPLES_SCHEMA)
-                edges_ds = build_edges_from_canonical(
-                    ray.data.read_parquet(
-                        canon_dir,
-                        columns=[
-                            "src_id", "pred", "dst_id",
-                            "subj_canonical", "obj_canonical", "url",
-                        ],
-                        override_num_blocks=nblocks,
-                    )
-                )
-                _write_parquet(edges_ds, edges_dir, EDGES_SCHEMA)
-
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(_write_parquet, nodes_ds, nodes_dir, NODES_SCHEMA),
-                    pool.submit(canonical_then_edges),
-                ]
-                for f in futures:
-                    f.result()
+                if surface_map is None:  # linking was reused
+                    surface_map = pq.read_table(surface_map_dir)
+                stored = _stored_canonical(out_dir, prev, graph_gens, map_delta)
+                extra = _graph_driver(out_dir, surface_map, graph_gens, stored, map_delta, nblocks)
     if recomputed_graph:
-        import pyarrow.dataset as pads
-
-        n_nodes = pads.dataset(nodes_dir).count_rows()
-        n_edges = pads.dataset(edges_dir).count_rows()
-        extra = {
-            "nodes": n_nodes, "edges": n_edges,
-            "distinct_surfaces": n_surfaces, "clusters": link["clusters"],
-        }
+        extra.update(
+            distinct_surfaces=n_surfaces, clusters=link["clusters"], gens=graph_gens
+        )
         lineage.write_manifest(
-            out_dir, "graph", fp_graph, n_nodes + n_edges, t_graph.wall, extra=extra
+            out_dir, "graph", fp_graph, extra["nodes"] + extra["edges"], t_graph.wall,
+            extra=extra,
         )
 
     m = lineage.load_manifest(out_dir, "graph") or {}
@@ -769,9 +1005,9 @@ def run_kg(
         "mentions": mentions_dir,
         "surface_map": surface_map_dir,
         "triples": triples_dir,
-        "triples_canonical": canon_dir,
-        "nodes": nodes_dir,
-        "edges": edges_dir,
+        "triples_canonical": os.path.join(out_dir, "triples_canonical"),
+        "nodes": os.path.join(out_dir, "nodes"),
+        "edges": os.path.join(out_dir, "edges"),
         "n_nodes": m.get("nodes"),
         "n_edges": m.get("edges"),
         "distinct_surfaces": n_surfaces,

@@ -6,23 +6,34 @@ mention lists folded under a representative surface) plus the new
 triples->edges rewrite the north_rule requires.
 
 The surface map is one Arrow table, (type, surface, node_id, canonical),
-from linking to the rewrites.  The two plans differ only in how a row gets
-its (node_id, canonical) columns: the broadcast plan ``ray.put``s the table
-once and each task looks its keys up with ``index_in`` + ``take`` (a
-broadcast hash join, the map being the small side by construction); the
-join plan left-joins against the surface-map Parquet with a shuffle.  Both
-then run the same miss fill (:func:`fill_misses`: DATE values and
-unresolved singletons) and the same node partial.
+from linking to the rewrites.  A row gets its (node_id, canonical)
+columns by lookup (:func:`_attach`: ``index_in`` + ``take`` against the
+map's keys, a broadcast hash join, the map being the small side by
+construction) or, in the scale plan, by a left join against the
+surface-map Parquet.  Both then run the same miss fill
+(:func:`fill_misses`: DATE values and unresolved singletons).
 
-Hot paths are vectorized: rows resolve by column, per-batch combining uses
-Arrow ``group_by`` (C++), and only map misses take a Python call.  Nodes
-and edges are aggregated with the part-keyed reduce shared with linking
-(``stages/linking.part_keyed_reduce``): a per-block partial combine, a
-small-int ``part`` column hashed from the group key, then one vectorized
-merge per part — shuffles move one row per group per block and sort only
-the part key (the head-entity-skew treatment from SURVEY §4).  Edges hash
-on ``src_id ^ dst_id`` so a hub entity's edges spread over its neighbours'
-parts instead of piling onto one.
+Nodes and edges are associative folds (sums, mins and min-k), so their
+partials are keyed by SURFACE, not by node id, and never depend on the
+map: per (type, surface) the mention count and the smallest
+``MAX_URLS_PER_NODE + 1`` urls (:func:`surface_partials`), per raw triple
+key the url count and the min url (:func:`triple_partials`).  The
+pipeline's explodes write them per block beside their output.  The driver
+plan relabels every generation's partials through the map and folds them
+into nodes (:func:`fold_nodes`) and edges (:func:`fold_edges`) in one
+process, with no Ray execution.  A new representative changes a node id
+but no partial, so an append never retracts one; per-block partials move
+one row per surface per block, however skewed the mentions (the
+head-entity treatment of SURVEY §4).
+
+The Ray forms aggregate with the part-keyed reduce shared with linking
+(``stages/linking.part_keyed_reduce``): a per-block partial, a small-int
+``part`` column hashed from the group key, then one vectorized merge per
+part.  :func:`build_nodes` folds the same surface partials per block;
+the scale plan's :func:`build_nodes_join` and
+:func:`build_edges_from_canonical` run on Datasets end to end.  Edges
+hash on ``src_id ^ dst_id`` so a hub entity's edges spread over its
+neighbours' parts instead of piling onto one.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.dates import parse_date
-from .linking import LINKED_TYPES, _join_parts, node_id_of, part_keyed_reduce
+from .linking import LINKED_TYPES, _join_parts, _surface_keys, node_id_of, part_keyed_reduce
 from .relations import TRIPLES_SCHEMA
 
 # urls/aliases per node are capped in the materialized table (a country
@@ -124,27 +135,31 @@ def fill_misses(rows: pa.Table, id_col, canon_col, type_col, surface_col, norm_c
     return rows.set_column(rows.schema.get_field_index(canon_col), canon_col, canon)
 
 
-@functools.lru_cache(maxsize=8)
-def _arrow_maps(surface_map_ref):
-    """The broadcast surface map as ``index_in`` value set: ``type\\0surface``
-    keys with the node_id and canonical columns, built ONCE per worker
-    process (ObjectRefs hash stably; ``ray.get`` of an Arrow table reads
-    the object store zero-copy)."""
-    import ray
-
-    sm = ray.get(surface_map_ref)
-    keys = pc.binary_join_element_wise(sm.column("type"), sm.column("surface"), "\x00")
+def map_lookup(surface_map: pa.Table) -> tuple:
+    """The surface map as an ``index_in`` value set: ``type\\0surface``
+    keys with the node_id and canonical columns."""
     return (
-        keys.combine_chunks(),
-        sm.column("node_id").combine_chunks(),
-        sm.column("canonical").combine_chunks(),
+        _surface_keys(surface_map),
+        surface_map.column("node_id").combine_chunks(),
+        surface_map.column("canonical").combine_chunks(),
     )
 
 
-def _attach(rows: pa.Table, surface_map_ref, type_col, surface_col, id_col, canon_col):
-    """Append ``canon_col`` and ``id_col`` looked up in the broadcast map by
-    (``type_col``, ``surface_col``); null where the map has no entry."""
-    keys, ids, canons = _arrow_maps(surface_map_ref)
+@functools.lru_cache(maxsize=8)
+def _arrow_maps(surface_map_ref):
+    """:func:`map_lookup` of the broadcast surface map, built ONCE per
+    worker process (ObjectRefs hash stably; ``ray.get`` of an Arrow table
+    reads the object store zero-copy)."""
+    import ray
+
+    return map_lookup(ray.get(surface_map_ref))
+
+
+def _attach(rows: pa.Table, lookup, type_col, surface_col, id_col, canon_col):
+    """Append ``canon_col`` and ``id_col`` looked up in the surface map
+    (its :func:`map_lookup`) by (``type_col``, ``surface_col``); null
+    where the map has no entry."""
+    keys, ids, canons = lookup
     idx = pc.index_in(
         pc.binary_join_element_wise(
             rows.column(type_col).combine_chunks().cast(pa.string()),
@@ -221,9 +236,8 @@ def _fold_nodes(rows: pa.Table, aliases, urls) -> pa.Table:
 
 def node_partials_batch(rows: pa.Table) -> pa.Table:
     """Node-type mention rows with their ``node_id``/``canonical`` columns
-    (null where the surface map has no entry) -> partial per-node rows.
-    The one partial of both plans: the broadcast plan attaches the columns
-    by lookup, the join plan by a left join.
+    (null where the surface map has no entry) -> partial per-node rows:
+    the join plan's node partial.
 
     Arrow ``group_by`` reduces the batch to distinct (surface, url) rows
     first, so only the misses among those (DATE surfaces, resolved by
@@ -237,14 +251,63 @@ def node_partials_batch(rows: pa.Table) -> pa.Table:
     return _fold_nodes(d, (ids, d.column("surface")), (ids, d.column("url")))
 
 
+# per-(type, surface) partials of the node-type mentions, written per block
+# by the mentions explode: the mention count and the smallest
+# MAX_URLS_PER_NODE + 1 distinct urls
+SURFACE_PARTIALS_SCHEMA = pa.schema(
+    [
+        ("type", pa.string()),
+        ("surface", pa.string()),
+        ("n_mentions", pa.int64()),
+        ("urls", pa.list_(pa.string())),
+    ]
+)
+
+
+def surface_partials(mentions: pa.Table) -> pa.Table:
+    """Mention rows (type, surface, url) -> one SURFACE_PARTIALS_SCHEMA row
+    per node-type (type, surface), sorted.  Min-k of a union is
+    associative, so the partials of any block split fold to the same
+    nodes."""
+    rows = _node_rows(mentions)
+    if rows.num_rows == 0:
+        return SURFACE_PARTIALS_SCHEMA.empty_table()
+    g = (
+        rows.group_by(["type", "surface"])
+        .aggregate([([], "count_all")])
+        .sort_by([("type", "ascending"), ("surface", "ascending")])
+    )
+    # each mention's group index, ascending with g's rows
+    group = pc.index_in(_surface_keys(rows), value_set=_surface_keys(g)).cast(pa.int64())
+    urls = _min_k(group, rows.column("url").combine_chunks(), MAX_URLS_PER_NODE + 1)
+    return pa.table(
+        [g.column("type"), g.column("surface"), g.column("count_all").cast(pa.int64()), urls],
+        schema=SURFACE_PARTIALS_SCHEMA,
+    )
+
+
+def fold_surface_partials(partials: pa.Table, lookup) -> pa.Table:
+    """SURFACE_PARTIALS_SCHEMA rows -> PARTIAL_NODES_SCHEMA rows: each
+    surface relabeled through the map (its :func:`map_lookup`) and the
+    misses filled, then folded by node id."""
+    rows = _attach(partials, lookup, "type", "surface", "node_id", "canonical")
+    rows = fill_misses(rows, "node_id", "canonical", "type", "surface")
+    ids = rows.column("node_id")
+    urls = rows.column("urls").combine_chunks()
+    return _fold_nodes(
+        rows,
+        (ids, rows.column("surface")),
+        (pc.take(ids, pc.list_parent_indices(urls)), pc.list_flatten(urls)),
+    )
+
+
 def node_shard_merge(group: pa.Table) -> pa.Table:
-    """Reduce one part of partial node rows -> NODES_SCHEMA rows (one per
-    node_id in the part, ascending — deterministic), by the same fold as
-    the partials.  ``urls_sample`` is exactly the node's smallest
-    MAX_URLS_PER_NODE urls and ``n_urls`` the distinct urls retained
-    (MAX_URLS_PER_NODE + 1 signals "more than the sample") — a hub node
-    contributed by 10^5 input blocks never holds more than that per
-    partial row."""
+    """Partial node rows -> NODES_SCHEMA rows (one per node_id, ascending —
+    deterministic), by the same fold as the partials.  ``urls_sample`` is
+    exactly the node's smallest MAX_URLS_PER_NODE urls and ``n_urls`` the
+    distinct urls retained (MAX_URLS_PER_NODE + 1 signals "more than the
+    sample") — a hub node contributed by 10^5 input blocks never holds
+    more than that per partial row."""
 
     def pairs(col):
         lists = group.column(col).combine_chunks()
@@ -263,29 +326,39 @@ def node_shard_merge(group: pa.Table) -> pa.Table:
     )
 
 
+def fold_nodes(partials, lookup) -> pa.Table:
+    """Tables of SURFACE_PARTIALS_SCHEMA rows (e.g. one per generation) ->
+    the NODES_SCHEMA table, on the driver: each table is relabeled and
+    folded on its own, then the folds are merged."""
+    folded = [PARTIAL_NODES_SCHEMA.empty_table()]
+    folded += [fold_surface_partials(t, lookup) for t in partials]
+    return node_shard_merge(pa.concat_tables(folded))
+
+
+def _node_part_key(rows: pa.Table):
+    return rows.column("node_id")
+
+
 def _shard_merge_nodes(ds, partial):
     """``partial`` per block, then merge the node rows part-keyed on
     ``node_id`` (the shared tail of :func:`build_nodes` and
     :func:`build_nodes_join`)."""
     return part_keyed_reduce(
-        ds,
-        partial,
-        lambda rows: rows.column("node_id"),
-        node_shard_merge,
-        PARTIAL_NODES_SCHEMA,
-        NODES_SCHEMA,
+        ds, partial, _node_part_key, node_shard_merge, PARTIAL_NODES_SCHEMA, NODES_SCHEMA
     )
+
+
+def _mention_node_partial(batch: pa.Table, surface_map_ref) -> pa.Table:
+    return fold_surface_partials(surface_partials(batch), _arrow_maps(surface_map_ref))
 
 
 def build_nodes(mentions_ds, surface_map_ref):
     """mentions Dataset + broadcast surface map -> nodes Dataset (linked
-    types + DATE, so every edge endpoint has a nodes row)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        rows = _attach(_node_rows(batch), surface_map_ref, "type", "surface", "node_id", "canonical")
-        return node_partials_batch(rows)
-
-    return _shard_merge_nodes(mentions_ds, partial)
+    types + DATE, so every edge endpoint has a nodes row): the Ray form of
+    :func:`fold_nodes`, one block's surface partials folded per task."""
+    return _shard_merge_nodes(
+        mentions_ds, functools.partial(_mention_node_partial, surface_map_ref=surface_map_ref)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -318,23 +391,31 @@ def _fill_triples(batch: pa.Table) -> pa.Table:
     return batch.select(rest + _CANONICAL_COLUMNS)
 
 
+def canonical_rows(batch: pa.Table, lookup) -> pa.Table:
+    """Triple rows (raw or partial) + the map's :func:`map_lookup` -> the
+    rows with (subj/obj canonical, src/dst node id) columns last.  Both
+    endpoints resolve by ``index_in`` + ``take`` (ids stay int64 end to
+    end); only misses take the per-row :func:`resolve` path."""
+    batch = _attach(batch, lookup, "subj_type", "subj", "src_id", "subj_canonical")
+    batch = _attach(batch, lookup, "obj_type", "obj", "dst_id", "obj_canonical")
+    return _fill_triples(batch)
+
+
+def _rewrite_triples(batch: pa.Table, surface_map_ref) -> pa.Table:
+    return canonical_rows(batch, _arrow_maps(surface_map_ref))
+
+
 def canonical_triples(triples_ds, surface_map_ref):
-    """triples Dataset -> triples + (subj/obj canonical, src/dst node id)
-    columns — the table the P/R evaluation consumes AND the sole input to
-    the edges aggregation.  Both endpoints resolve through the broadcast
-    surface map by ``index_in`` + ``take`` (ids stay int64 end to end);
-    only misses take the per-row :func:`resolve` path."""
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        batch = _attach(batch, surface_map_ref, "subj_type", "subj", "src_id", "subj_canonical")
-        batch = _attach(batch, surface_map_ref, "obj_type", "obj", "dst_id", "obj_canonical")
-        return _fill_triples(batch)
-
-    return triples_ds.map_batches(rewrite, batch_format="pyarrow")
+    """triples Dataset + broadcast surface map -> triples + (subj/obj
+    canonical, src/dst node id) columns, by :func:`canonical_rows` — the
+    table the P/R evaluation consumes."""
+    return triples_ds.map_batches(
+        _rewrite_triples, fn_kwargs={"surface_map_ref": surface_map_ref}, batch_format="pyarrow"
+    )
 
 
 # --------------------------------------------------------------------------
-# edges (from the canonical table — ids already resolved)
+# edges
 
 
 EDGE_PARTIALS_SCHEMA = pa.schema(
@@ -349,29 +430,64 @@ EDGE_PARTIALS_SCHEMA = pa.schema(
     ]
 )
 
+# the raw triple key: edges partials that never depend on the surface map
+TRIPLE_KEYS = ["subj_type", "subj", "pred", "obj_type", "obj", "obj_norm"]
+# per-raw-triple-key partials, written per block by the triples explode
+TRIPLE_PARTIALS_SCHEMA = pa.schema(
+    [*((k, pa.string()) for k in TRIPLE_KEYS), ("weight", pa.int64()), ("url_sample", pa.string())]
+)
+
+
+def triple_partials(triples: pa.Table) -> pa.Table:
+    """Triple rows -> one TRIPLE_PARTIALS_SCHEMA row per raw triple key:
+    its url count and min url."""
+    if triples.num_rows == 0:
+        return TRIPLE_PARTIALS_SCHEMA.empty_table()
+    g = triples.group_by(TRIPLE_KEYS).aggregate([("url", "count"), ("url", "min")])
+    return pa.table(
+        [*g.select(TRIPLE_KEYS).columns, g.column("url_count").cast(pa.int64()), g.column("url_min")],
+        schema=TRIPLE_PARTIALS_SCHEMA,
+    )
+
+
+def _edge_rows(rows: pa.Table, weight: tuple[str, str], url: str) -> pa.Table:
+    """Canonical triple rows (or partials) -> EDGE_PARTIALS_SCHEMA rows,
+    one per (src, pred, dst), by one Arrow ``group_by``: the ``weight``
+    (column, aggregation) pair, and the min ``url`` and canonicals."""
+    col, how = weight
+    g = rows.group_by(["src_id", "pred", "dst_id"]).aggregate(
+        [weight, ("subj_canonical", "min"), ("obj_canonical", "min"), (url, "min")]
+    )
+    return pa.table(
+        [
+            g.column("src_id"),
+            g.column("pred"),
+            g.column("dst_id"),
+            g.column("subj_canonical_min"),
+            g.column("obj_canonical_min"),
+            g.column(f"{col}_{how}").cast(pa.int64()),
+            g.column(f"{url}_min"),
+        ],
+        schema=EDGE_PARTIALS_SCHEMA,
+    )
+
 
 def edge_partials_batch(batch: pa.Table) -> pa.Table:
     """canonical-triples batch -> partial per-(src, pred, dst) aggregates
     (pure Arrow group_by; no lookups needed)."""
-    g = batch.group_by(["src_id", "pred", "dst_id", "subj_canonical", "obj_canonical"]).aggregate(
-        [("url", "count"), ("url", "min")]
-    )
-    return pa.table(
-        {
-            "src_id": g.column("src_id"),
-            "pred": g.column("pred"),
-            "dst_id": g.column("dst_id"),
-            "src_canonical": g.column("subj_canonical"),
-            "dst_canonical": g.column("obj_canonical"),
-            "weight": g.column("url_count").cast(pa.int64()),
-            "url_sample": g.column("url_min"),
-        }
-    )
+    return _edge_rows(batch, ("url", "count"), "url")
+
+
+def fold_triple_partials(partials: pa.Table, lookup) -> pa.Table:
+    """TRIPLE_PARTIALS_SCHEMA rows -> EDGE_PARTIALS_SCHEMA rows: both
+    endpoints relabeled through the map (its :func:`map_lookup`) and the
+    misses filled, then folded by (src, pred, dst)."""
+    return _edge_rows(canonical_rows(partials, lookup), ("weight", "sum"), "url_sample")
 
 
 def _edge_merge_part(rows: pa.Table) -> pa.Table:
-    """One part of edge partials -> EDGES_SCHEMA rows: per (src, pred, dst)
-    the summed weight and the smallest canonicals and url, in one Arrow
+    """Edge partials -> EDGES_SCHEMA rows: per (src, pred, dst) the summed
+    weight and the smallest canonicals and url, in one Arrow
     ``group_by``."""
     g = rows.group_by(["src_id", "pred", "dst_id"]).aggregate(
         [
@@ -397,6 +513,19 @@ def _edge_merge_part(rows: pa.Table) -> pa.Table:
     )
 
 
+def fold_edges(partials, lookup) -> pa.Table:
+    """Tables of TRIPLE_PARTIALS_SCHEMA rows (e.g. one per generation) ->
+    the EDGES_SCHEMA table, on the driver: each table is relabeled and
+    folded on its own, then the folds are merged."""
+    folded = [EDGE_PARTIALS_SCHEMA.empty_table()]
+    folded += [fold_triple_partials(t, lookup) for t in partials]
+    return _edge_merge_part(pa.concat_tables(folded))
+
+
+def _edge_part_key(rows: pa.Table):
+    return pc.bit_wise_xor(rows.column("src_id"), rows.column("dst_id"))
+
+
 def build_edges_from_canonical(canonical_ds):
     """canonical-triples Dataset -> edges Dataset.
 
@@ -408,7 +537,7 @@ def build_edges_from_canonical(canonical_ds):
     return part_keyed_reduce(
         canonical_ds,
         edge_partials_batch,
-        lambda rows: pc.bit_wise_xor(rows.column("src_id"), rows.column("dst_id")),
+        _edge_part_key,
         _edge_merge_part,
         EDGE_PARTIALS_SCHEMA,
         EDGES_SCHEMA,

@@ -283,23 +283,37 @@ def part_keyed_reduce(ds, combine, key, reduce, combined_schema, reduced_schema,
 
     Empty blocks (an empty shuffle partition carries no schema) combine to
     ``combined_schema``'s empty table and reduce to ``reduced_schema``'s."""
-    parts = parts or _coarse_parts()
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        rows = combine(batch) if batch.num_rows else combined_schema.empty_table()
-        part = np.asarray(key(rows), np.int64) % parts
-        return rows.append_column("part", pa.array(part.astype(np.int32), pa.int32()))
-
-    def reduce_part(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return reduced_schema.empty_table()
-        return reduce(group.drop_columns(["part"]))
-
     return (
-        ds.map_batches(add_part, batch_format="pyarrow")
+        ds.map_batches(
+            _add_part,
+            fn_kwargs={
+                "combine": combine, "key": key, "parts": parts or _coarse_parts(),
+                "combined_schema": combined_schema,
+            },
+            batch_format="pyarrow",
+        )
         .groupby("part")
-        .map_groups(reduce_part, batch_format="pyarrow")
+        .map_groups(
+            _reduce_part,
+            fn_kwargs={"reduce": reduce, "reduced_schema": reduced_schema},
+            batch_format="pyarrow",
+        )
     )
+
+
+def _add_part(batch: pa.Table, combine, key, parts: int, combined_schema) -> pa.Table:
+    """:func:`part_keyed_reduce`'s map: the combined rows of one block, each
+    with its ``part``."""
+    rows = combine(batch) if batch.num_rows else combined_schema.empty_table()
+    part = np.asarray(key(rows), np.int64) % parts
+    return rows.append_column("part", pa.array(part.astype(np.int32), pa.int32()))
+
+
+def _reduce_part(group: pa.Table, reduce, reduced_schema) -> pa.Table:
+    """:func:`part_keyed_reduce`'s reduce of one part's rows."""
+    if group.num_rows == 0:
+        return reduced_schema.empty_table()
+    return reduce(group.drop_columns(["part"]))
 
 
 def _crc32_keys(strings) -> list[int]:
@@ -434,12 +448,16 @@ def _block_reduce(distinct, reduce, reduced_schema, parts=None):
     return part_keyed_reduce(
         distinct,
         block_keys_batch,
-        lambda rows: _crc32_keys(rows.column("block").to_pylist()),
+        _block_part_key,
         reduce,
         BLOCK_ROWS_SCHEMA,
         reduced_schema,
         parts,
     )
+
+
+def _block_part_key(rows: pa.Table) -> list[int]:
+    return _crc32_keys(rows.column("block").to_pylist())
 
 
 def block_keys_batch(batch: pa.Table) -> pa.Table:

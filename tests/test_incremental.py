@@ -506,3 +506,292 @@ def test_corpus_without_triples_writes_empty_edges(tmp_path_factory):
     rerun = run_kg(pages, out, n_buckets=4, concurrency=2)
     assert rerun["n_edges"] == 0 and rerun["link_wall_sec"] == 0
     assert _relpaths_mtimes(out) == before
+
+
+# ------------------------------------------------------------- delta graph
+
+
+def _graph_files(out, gen):
+    return _relpaths_mtimes(f"{out}/triples_canonical/{gen}")
+
+
+def _partial_rows(out, phase):
+    return sum(
+        pq.read_metadata(os.path.join(dp, f)).num_rows
+        for dp, _dirs, fs in os.walk(f"{out}/graph_partials/{phase}")
+        for f in fs
+    )
+
+
+def test_two_appends_fold_the_graph_on_the_driver_and_report_it(
+    tail_parts, tail_full, tmp_path_factory
+):
+    """Each append's graph is a delta: the manifest names the generations
+    it consumed and folds every partial row.  It writes the new canonical
+    generation and rewrites an old one only when that one's rows change
+    (here an append gives some old clusters a new representative), and
+    every column equals a from-scratch build."""
+    base = str(tmp_path_factory.mktemp("graph_delta"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["mode"] == "full" and "pages_snap" not in json.dumps(graph)
+    assert graph["canonical"] == {"rewritten": ["g0"], "reused": []}
+
+    for k, part in enumerate(tail_parts[1:], start=1):
+        old = [f"g{i}" for i in range(k)]
+        files = {g: _graph_files(out, g) for g in old}
+        rows = {g: _sorted_table(out, f"triples_canonical/{g}") for g in old}
+        _grow(pages, part)
+        run_kg(pages, out, **_tail_kwargs())
+        graph = lineage.load_manifest(out, "graph")
+        gens = [f"g{i}" for i in range(k + 1)]
+        assert graph["mode"] == "delta"
+        assert graph["gens"] == {
+            phase: lineage.load_manifest(out, phase)["exploded_gens"]
+            for phase in ("mentions", "triples")
+        }
+        assert sorted(graph["gens"]["mentions"]) == gens
+        rewritten, reused = graph["canonical"]["rewritten"], graph["canonical"]["reused"]
+        assert rewritten[-1] == f"g{k}" and sorted(rewritten[:-1] + reused) == old
+        for g in reused:
+            assert _graph_files(out, g) == files[g], g
+        for g in rewritten[:-1]:
+            assert not _sorted_table(out, f"triples_canonical/{g}").equals(rows[g]), g
+        assert graph["partial_rows"] == {
+            "surfaces": _partial_rows(out, "mentions"), "triples": _partial_rows(out, "triples"),
+        }
+        assert 0 < graph["partial_rows"]["surfaces"] < pads.dataset(f"{out}/mentions").count_rows()
+        assert graph["nodes"] == pads.dataset(f"{out}/nodes").count_rows()
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_delta_graph_runs_no_ray_execution(tail_parts, tail_full, tmp_path_factory, monkeypatch):
+    """Once an append's linking manifest is written, its graph phase runs
+    no Ray Data execution and puts nothing in the object store."""
+    import ray
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    base = str(tmp_path_factory.mktemp("graph_no_ray"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    _grow(pages, tail_parts[1])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[2])
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Ray used in the graph phase")
+
+    real = lineage.write_manifest
+
+    def write_then_forbid(out_dir, phase, *a, **kw):
+        real(out_dir, phase, *a, **kw)
+        if phase == "linking":
+            monkeypatch.setattr(StreamingExecutor, "execute", boom)
+            monkeypatch.setattr(ray, "put", boom)
+
+    monkeypatch.setattr(lineage, "write_manifest", write_then_forbid)
+    run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.undo()
+    assert lineage.load_manifest(out, "graph")["mode"] == "delta"
+    _assert_equal_outputs(out, tail_full)
+
+    # the same guard fails a full graph build, so it does guard
+    os.remove(f"{out}/_lineage/graph.json")
+    monkeypatch.setattr(StreamingExecutor, "execute", boom)
+    with pytest.raises(AssertionError, match="Ray used"):
+        run_kg(pages, out, **_tail_kwargs())
+
+
+_GAZETTEER = [
+    ("John Smith", "PERSON"), ("Mary Major", "PERSON"), ("Alan Turing", "PERSON"),
+    ("Jane Doe", "PERSON"), ("Ann Lee", "PERSON"), ("Bob Ray", "PERSON"),
+    ("Cy Young", "PERSON"), ("Di Moss", "PERSON"), ("Ed Wood", "PERSON"),
+    ("Acme Corp", "ORG"), ("Acme Corp.", "ORG"), ("Acme Corp Holdings", "ORG"),
+    ("Globex Inc", "ORG"), ("Globex Inc.", "ORG"), ("Initech Llc", "ORG"),
+    ("Initech Llc.", "ORG"), ("Globex Inc Initech Llc", "ORG"), ("Berlin", "GPE"),
+]
+
+
+def _sentence_pages(base, name, sentences):
+    """Append one page file to ``base/pages``: a page per sentence, with
+    urls unique to the file."""
+    import datetime
+
+    pages = os.path.join(base, "pages")
+    os.makedirs(pages, exist_ok=True)
+    html = [f"<html><body><main><p>{s}</p></main></body></html>".encode() for s in sentences]
+    n = len(sentences)
+    pq.write_table(
+        pa.table(
+            {
+                "url": [f"https://{name}.example.test/page/{i}" for i in range(n)],
+                "warc_ts": pa.array([datetime.datetime(2020, 1, 2)] * n, pa.timestamp("us")),
+                "html": pa.array(html, pa.binary()),
+                "text": pa.array(sentences, pa.large_string()),
+                "lang": ["en"] * n,
+            }
+        ),
+        os.path.join(pages, f"{name}.parquet"),
+    )
+
+
+def _build(base, out="out"):
+    """``run_kg`` over ``base/pages`` into ``base/<out>``; returns the out dir."""
+    out = os.path.join(base, out)
+    run_kg(os.path.join(base, "pages"), out, n_buckets=4, concurrency=2, gazetteer=_GAZETTEER)
+    return out
+
+
+def test_append_changing_a_representative_rewrites_only_the_generations_it_touches(
+    tmp_path_factory,
+):
+    """The append's "Acme Corp Holdings" becomes the representative of the
+    "Acme Corp" cluster, which changes its node id.  The generation whose
+    triples name that cluster is rewritten, an unaffected one is not, and
+    every column equals a from-scratch build."""
+    base = str(tmp_path_factory.mktemp("graph_rep"))
+    _sentence_pages(base, "a", ["Jane Doe visited Berlin and more."])
+    _build(base)
+    _sentence_pages(base, "b", ["John Smith works for Acme Corp and more.",
+                                "Mary Major works for Acme Corp. and more."])
+    out = _build(base)
+    before = {g: _graph_files(out, g) for g in ("g0", "g1")}
+    acme = pq.read_table(f"{out}/surface_map").to_pylist()
+    assert {r["canonical"] for r in acme if r["surface"].startswith("Acme")} == {"Acme Corp."}
+
+    _sentence_pages(base, "c", ["Alan Turing works for Acme Corp Holdings and more."])
+    _build(base)
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["mode"] == "delta"
+    assert graph["canonical"] == {"rewritten": ["g1", "g2"], "reused": ["g0"]}
+    assert _graph_files(out, "g0") == before["g0"]
+    after = _graph_files(out, "g1")
+    assert after and min(after.values()) > max(before["g1"].values()), "g1 must be rewritten"
+    canon = pads.dataset(f"{out}/triples_canonical").to_table().to_pylist()
+    assert {r["obj_canonical"] for r in canon if r["obj"].startswith("Acme")} == {
+        "Acme Corp Holdings"
+    }
+    _assert_equal_outputs(out, _build(base, "clean"))
+
+
+def test_append_bridging_two_clusters_equals_a_full_build(tmp_path_factory):
+    base = str(tmp_path_factory.mktemp("graph_bridge"))
+    _sentence_pages(base, "a", [
+        "Ann Lee works for Globex Inc and more.", "Bob Ray works for Globex Inc. and more.",
+        "Cy Young works for Initech Llc and more.", "Di Moss works for Initech Llc. and more.",
+    ])
+    out = _build(base)
+    assert len(set(pq.read_table(f"{out}/edges").column("dst_id").to_pylist())) == 2
+    _sentence_pages(base, "b", ["Ed Wood works for Globex Inc Initech Llc and more."])
+    _build(base)
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["mode"] == "delta" and graph["canonical"]["rewritten"] == ["g0", "g1"]
+    assert len(set(pq.read_table(f"{out}/edges").column("dst_id").to_pylist())) == 1
+    _assert_equal_outputs(out, _build(base, "clean"))
+
+
+def test_crash_before_graph_manifest_resumes_to_a_clean_build(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """A crash after an append wrote its canonical generation and before
+    the graph manifest leaves no graph manifest; the resume rebuilds the
+    graph in full and equals a clean build."""
+    base = str(tmp_path_factory.mktemp("graph_crash"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    _grow(pages, tail_parts[1])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[2])
+    real = lineage.write_manifest
+
+    def crash_on_graph(out_dir, phase, *a, **kw):
+        if phase == "graph":
+            raise RuntimeError("crash before the graph manifest")
+        return real(out_dir, phase, *a, **kw)
+
+    monkeypatch.setattr(lineage, "write_manifest", crash_on_graph)
+    with pytest.raises(RuntimeError, match="crash before"):
+        run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.setattr(lineage, "write_manifest", real)
+    assert lineage.load_manifest(out, "graph") is None
+    assert lineage.load_manifest(out, "linking")["mode"] == "delta"
+    assert os.listdir(f"{out}/triples_canonical/g1")
+
+    run_kg(pages, out, **_tail_kwargs())
+    assert lineage.load_manifest(out, "graph")["mode"] == "full"
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_crashed_explode_leaves_no_partial_file_behind(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """An explode that crashed before its manifest leaves the partial
+    files of an unrecorded generation, here including one from a block
+    split the rerun will not repeat.  The rerun sweeps them, so no row is
+    folded twice."""
+    base = str(tmp_path_factory.mktemp("explode_crash"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[1])
+    _grow(pages, tail_parts[2])
+    real = lineage.write_manifest
+
+    def crash_on_mentions(out_dir, phase, *a, **kw):
+        if phase == "mentions":
+            raise RuntimeError("crash before the mentions manifest")
+        return real(out_dir, phase, *a, **kw)
+
+    monkeypatch.setattr(lineage, "write_manifest", crash_on_mentions)
+    with pytest.raises(RuntimeError, match="crash before"):
+        run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.setattr(lineage, "write_manifest", real)
+    gen_dir = f"{out}/graph_partials/mentions/g1"
+    assert sorted(lineage.load_manifest(out, "mentions")["exploded_gens"]) == ["g0"]
+    left = sorted(os.listdir(gen_dir))
+    assert left
+    stray = os.path.join(gen_dir, "0123456789abcdef.parquet")
+    shutil.copy(os.path.join(gen_dir, left[0]), stray)
+
+    run_kg(pages, out, **_tail_kwargs())
+    assert not os.path.exists(stray)
+    for phase in ("mentions", "triples"):
+        recorded = lineage.load_manifest(out, phase)["exploded_gens"]
+        assert sorted(os.listdir(f"{out}/graph_partials/{phase}")) == sorted(recorded)
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_scale_plan_builds_a_corpus_without_triples(tmp_path_factory):
+    """The scale plan's graph phase skips a join with no input row instead
+    of waiting on it forever: the build finishes (in a subprocess with a
+    bound), its canonical triples and edges are empty tables with their
+    columns, and its nodes equal the driver plan's."""
+    import subprocess
+    import sys
+
+    import ray
+
+    from pdf_entity_extraction_ray.sources.corpus import cached_catalog
+    from pdf_entity_extraction_ray.stages.graph import CANONICAL_TRIPLES_SCHEMA, EDGES_SCHEMA
+
+    name = cached_catalog(42, 25)[0].aliases[0]
+    base = str(tmp_path_factory.mktemp("scale_no_triples"))
+    pages, out, driver = (os.path.join(base, d) for d in ("pages", "out", "driver"))
+    os.makedirs(pages)
+    _mentionless_pages(os.path.join(pages, "part-0.parquet"), body=f"Marble stone {name} summit.")
+    run_kg(pages, driver, n_buckets=4, concurrency=2)
+    code = (
+        "import ray, sys\n"
+        f"ray.init(address={ray.get_runtime_context().gcs_address!r})\n"
+        "from pdf_entity_extraction_ray.pipelines.kg import run_kg\n"
+        f"res = run_kg({pages!r}, {out!r}, n_buckets=4, concurrency=2, auto_threshold=0)\n"
+        "assert res['resolved_rewrite_mode'] == 'join', res\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=root, timeout=120, check=True)
+    for table, schema in (("triples_canonical", CANONICAL_TRIPLES_SCHEMA), ("edges", EDGES_SCHEMA)):
+        assert pads.dataset(f"{out}/{table}").to_table().equals(schema.empty_table()), table
+    got, want = _sorted_table(out, "nodes"), _sorted_table(driver, "nodes")
+    assert got.num_rows and got.equals(want)

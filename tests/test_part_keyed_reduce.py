@@ -2,8 +2,8 @@
 must equal in-process Arrow references and the Ray sort-``Aggregate``
 formulation they replaced, at any part count, with empty blocks and hub
 keys; nodes must not depend on how the mentions are split into blocks;
-and the P4 canonical -> edges driver thread must fail the build, which a
-resume then completes to a clean build's graph.
+and a failed edges fold must fail the build, which a resume then
+completes to a clean build's graph.
 """
 
 import os
@@ -246,19 +246,17 @@ def test_build_nodes_same_table_at_any_block_split():
     assert date["n_urls"] == 2 and date["aliases"] == ["2 January 2020", "2020-01-02"]
 
 
-def test_edges_thread_failure_propagates_without_graph_manifest(
-    small_corpus, tmp_path, monkeypatch
-):
+def test_edges_failure_propagates_without_graph_manifest(small_corpus, tmp_path, monkeypatch):
     from pdf_entity_extraction_ray.pipelines.kg import run_kg
     from pdf_entity_extraction_ray.state import lineage
 
-    def boom(canonical_ds):
+    def boom(partials, lookup):
         raise RuntimeError("edges build failed")
 
     pages = os.path.join(small_corpus, "pages")
     out = str(tmp_path / "out")
     with monkeypatch.context() as m:
-        m.setattr(graph, "build_edges_from_canonical", boom)
+        m.setattr(graph, "fold_edges", boom)
         with pytest.raises(RuntimeError, match="edges build failed"):
             run_kg(pages, out, n_buckets=4, concurrency=2)
     linking_manifest = lineage.load_manifest(out, "linking")
@@ -266,8 +264,8 @@ def test_edges_thread_failure_propagates_without_graph_manifest(
     assert lineage.load_manifest(out, "graph") is None
     assert not os.path.exists(os.path.join(out, "edges"))
 
-    # the resume reuses linking and broadcasts the surface map read back
-    # from its Parquet artifact; the graph equals a clean build's
+    # the resume reuses linking and reads the surface map back from its
+    # Parquet artifact; the graph equals a clean build's
     run_kg(pages, out, n_buckets=4, concurrency=2, resume=True)
     assert lineage.load_manifest(out, "linking") == linking_manifest
     clean = str(tmp_path / "clean")
@@ -279,3 +277,54 @@ def test_edges_thread_failure_propagates_without_graph_manifest(
             for d in (out, clean)
         )
         assert got.num_rows and got.equals(want), name
+
+
+def test_driver_folds_equal_the_ray_forms():
+    """``fold_nodes`` / ``fold_edges`` of per-block surface and triple
+    partials (the driver plan's P4) equal ``build_nodes`` and
+    ``build_edges_from_canonical`` over ``canonical_triples`` (the Ray
+    forms), however the partials are grouped into tables."""
+    from pdf_entity_extraction_ray.stages.relations import TRIPLES_SCHEMA
+
+    france = (node_id_of("GPE", "France"), "France")
+    surface_map = _surface_map(
+        [("GPE", "France", *france), ("GPE", "french republic", *france),
+         ("PERSON", "P. 7", node_id_of("PERSON", "Person 7"), "Person 7")]
+    )
+    ref = ray.put(surface_map)
+    lookup = graph.map_lookup(surface_map)
+    mentions = pa.table(
+        {
+            "type": ["GPE"] * 30 + ["GPE", "PERSON", "PERSON", "DATE", "DATE", "MISC"],
+            "surface": ["France"] * 30 + ["french republic", "P. 7", "Person 7",
+                                          "2 January 2020", "2020-01-02", "x"],
+            "url": [f"u{i % 23:02d}" for i in range(30)] + ["a", "b", "c", "d", "e", "f"],
+        }
+    )
+    blocks = [mentions.slice(0, 17), mentions.slice(17)]
+    want = _nodes(build_nodes(ray.data.from_arrow(blocks), ref))
+    partials = [graph.surface_partials(b) for b in blocks]
+    assert graph.fold_nodes(partials, lookup).equals(want)
+    assert graph.fold_nodes([pa.concat_tables(partials)], lookup).equals(want)
+
+    rows = [("P. 7", "PERSON", "visited", "french republic", "GPE", "", f"u{i % 5}")
+            for i in range(12)]
+    rows += [("Person 7", "PERSON", "visited", "France", "GPE", "", "z"),
+             ("Person 7", "PERSON", "born_on", "2 January 2020", "DATE", "2020-01-02", "y"),
+             ("Nobody", "PERSON", "visited", "France", "GPE", "", "x")]
+    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "obj_norm", "url"]
+    triples = pa.table(
+        {c: [r[cols.index(c)] if c in cols else 0 for r in rows] for c in TRIPLES_SCHEMA.names}
+    ).cast(TRIPLES_SCHEMA)
+    blocks = [triples.slice(0, 7), triples.slice(7)]
+    keys = [("src_id", "ascending"), ("pred", "ascending"), ("dst_id", "ascending")]
+    want = pa.Table.from_pylist(
+        _rows(
+            build_edges_from_canonical(graph.canonical_triples(ray.data.from_arrow(blocks), ref)),
+            ["src_id", "pred", "dst_id"],
+        ),
+        schema=graph.EDGES_SCHEMA,
+    )
+    got = graph.fold_edges([graph.triple_partials(b) for b in blocks], lookup).sort_by(keys)
+    assert got.equals(want)
+    assert got.num_rows == 3 and sorted(got.column("weight").to_pylist()) == [1, 1, 13]
