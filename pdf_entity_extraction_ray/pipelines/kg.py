@@ -13,9 +13,10 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
                    propagation past the threshold) -> surface map (an
                    Arrow table, also written as Parquet); an append
                    extends the driver plan's persisted block index instead
-  P4 graph       : driver plan: graph partials relabeled through the
-                   surface map and folded into nodes and edges on the
-                   driver; triples + surface map -> canonical triples per
+  P4 graph       : driver plan, on the driver with no Ray execution:
+                   graph partials relabeled through the surface map and
+                   folded into nodes and edges; triples streamed through
+                   the map into canonical triples, one file per
                    generation.  Scale plan: shuffle joins of mentions and
                    triples against the map, then edges from the canonical
                    triples
@@ -38,7 +39,8 @@ P4 records the generations it consumed too.  Its node and edge partials
 are keyed by surface, so they never depend on the map: an append folds
 every generation's partials on the driver, writes its own canonical
 triples generation and rewrites only the stored ones holding a surface
-whose node the append's link changed, again with no Ray execution.
+whose node the append's link changed, again with no Ray execution.  A
+full build is the same P4 with no generation stored.
 Re-running after an append therefore costs O(new pages) tagging, pair
 tests and canonical rewrites + O(corpus) driver-side union-find and
 partial folds over (type, surface)-sized inputs, never O(corpus) model
@@ -81,10 +83,9 @@ except Exception:  # pragma: no cover
 from ..sources.corpus import cached_catalog, catalog_gazetteer
 from ..stages.annotate import Annotator, explode_mentions_batch, explode_triples_batch
 from ..stages.extract import extract_segments_batch
-# ``build_nodes`` is not called here; ``perfbench/tracing.py`` wraps it by name
-from ..stages.graph import (  # noqa: F401
-    build_nodes, canonical_triples, surface_partials, triple_partials,
-)
+# P4 calls ``build_nodes`` and ``canonical_triples`` through this module's
+# namespace, where ``perfbench/tracing.py`` wraps them by name
+from ..stages.graph import build_nodes, canonical_triples, surface_partials, triple_partials
 from ..stages.linking import BlockIndex, block_index, extend_index, link_entities
 from ..state import lineage
 
@@ -92,24 +93,28 @@ CODE_VERSION = 8  # bump to invalidate all phase outputs (v8: graph partials)
 
 # P3 picks the scale plan (distributed label propagation, then shuffle-join
 # rewrites) when the distinct (type, surface) universe exceeds this, else
-# the driver plan (union-find, then the broadcast rewrites).  Rationale:
-# the broadcast surface map is an Arrow table of 54-80 B per entry (54 B on
-# 200,000 synthetic entries, 80 B on a 3,396-entry long-tail map), so 10^6
-# entries is ~55-80 MB in the object store, which every worker reads
-# zero-copy.  The value dates from when the map was a Python dict (377 B
-# per entry, ~0.4 GB at 10^6); no measurement of where the join plan starts
-# to win has moved it since.  The driver also holds the universe and the
-# similar pairs for union-find: a driver-plan link of 10^5 synthetic
-# surfaces grew the driver's RSS by 93 MB at peak (82 MB before it kept a
-# block index; the index's ~20 membership rows per surface stay on disk),
-# and a 5,000-surface append to it by 125 MB: ~1 GB at 10^6 by linear
+# the driver plan (union-find, then the rewrites on the driver).  Rationale:
+# the surface map is an Arrow table of 54-80 B per entry (54 B on 200,000
+# synthetic entries, 80 B on a 3,396-entry long-tail map), so 10^6 entries
+# is ~55-80 MB, held by the driver alone (no worker reads it).  The value
+# dates from when the map was a Python dict (377 B per entry, ~0.4 GB at
+# 10^6); no measurement of where the join plan starts to win has moved it
+# since.  The driver also holds the universe and the similar pairs for
+# union-find: a driver-plan link of 10^5 synthetic surfaces grew the
+# driver's RSS by 93 MB at peak (82 MB before it kept a block index; the
+# index's ~20 membership rows per surface stay on disk), and a
+# 5,000-surface append to it by 125 MB: ~1 GB at 10^6 by linear
 # extrapolation, not measured there.  The driver plan's P4 folds the graph
 # partials on the driver too: over 10^5 synthetic surfaces in 5*10^4
-# clusters and 10^5 triple keys, ``fold_nodes`` + ``fold_edges`` grew the
+# clusters and 10^5 triple keys, ``build_nodes`` + ``fold_edges`` grew the
 # driver's RSS by 164 MB at peak with one url per surface partial, 191 MB
 # with two and 606 MB with the 21-url cap in every partial (1.6-6 GB at
 # 10^6 by the same extrapolation).  That is past the link's order, so it
-# argues against raising this value without a measurement at 10^6.
+# argues against raising this value without a measurement at 10^6.  Its
+# canonical rewrite holds one triples batch at a time: a whole full P4
+# grew the driver's RSS by 0.2-0.4 MB at peak on the 240-page long-tail
+# corpus of tests/test_tail_scale.py (1,108 triples) and by 0.8-1.5 MB on
+# 1,500 such pages (7,369 triples), too small to weigh against the fold.
 # Outputs are identical across the two plans (tested), so the switch is
 # purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
@@ -218,7 +223,7 @@ class _StageSpec:
     kwargs: dict = dataclasses.field(compare=False, hash=False)
 
 
-@functools.lru_cache(maxsize=8)  # bounded like stages.graph._arrow_maps
+@functools.lru_cache(maxsize=8)  # a few (class, config) pairs per process
 def _cached_stage(spec: _StageSpec):
     """One stage per worker process per (class, config): warm workers are
     reused across tasks and builds, so the load is paid once per process
@@ -573,21 +578,21 @@ def _gen_partials(out_dir: str, phase: str, gens: dict, schema: pa.Schema, count
             yield t
 
 
-def _stored_canonical(out_dir: str, prev: dict | None, graph_gens: dict, map_delta):
-    """The canonical-triples generations an append may keep, or None when
-    P4 rebuilds in full.  A delta needs this call's P3 to have linked as a
-    delta (``map_delta``), from the map the last graph build used, and
-    every triples generation that build recorded on disk with its tag."""
+def _stored_canonical(out_dir: str, prev: dict | None, graph_gens: dict, map_delta) -> dict:
+    """The canonical-triples generations an append may keep; none (a full
+    P4) unless this call's P3 linked as a delta (``map_delta``), from the
+    map the last graph build used, and every triples generation that
+    build recorded is on disk with its tag."""
     if map_delta is None or prev is None or prev.get("canonical") is None:
-        return None
+        return {}
     if prev["gens"]["mentions"] != map_delta[1]:
-        return None
+        return {}
     kept = prev["gens"]["triples"]
     canon_dir = os.path.join(out_dir, "triples_canonical")
     if any(graph_gens["triples"].get(g) != tag for g, tag in kept.items()) or not all(
         os.path.isdir(os.path.join(canon_dir, g)) for g in kept
     ):
-        return None
+        return {}
     return kept
 
 
@@ -611,65 +616,53 @@ def _hits(out_dir: str, gen: str, keys: pa.Array) -> bool:
 
 
 def _graph_driver(
-    out_dir: str, surface_map: pa.Table, graph_gens: dict, stored: dict | None, map_delta, nblocks
+    out_dir: str, surface_map: pa.Table, graph_gens: dict, stored: dict, map_delta
 ) -> dict:
-    """The driver plan's P4.  Nodes and edges fold every generation's
-    graph partials through the surface map on the driver.  Canonical
-    triples are written per triples generation (``triples_canonical/g<k>``):
-    in full by the broadcast :func:`canonical_triples` Ray map, or, for an
-    append (``stored``: the generations it may keep), on the driver for
-    its new generations and any stored one whose triple partials hold a
-    key the append's link changed.  An append starts no Ray execution.
+    """The driver plan's P4, with no Ray execution.  Nodes and edges fold
+    every generation's graph partials through the surface map.  Canonical
+    triples are written per triples generation (``triples_canonical/g<k>``)
+    for each one not in ``stored`` and each stored one whose triple
+    partials hold a key this call's link changed (``map_delta``); the rest
+    are kept.  A full build is the case with nothing stored.  A rewrite
+    streams the generation's triples batch by batch into one file.
     Returns the graph manifest's counts."""
     import shutil
 
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-    import ray
 
     from ..stages.graph import (
-        CANONICAL_TRIPLES_SCHEMA, SURFACE_PARTIALS_SCHEMA, TRIPLE_PARTIALS_SCHEMA,
-        canonical_rows, fold_edges, fold_nodes, map_lookup,
+        CANONICAL_TRIPLES_SCHEMA, SURFACE_PARTIALS_SCHEMA, TRIPLE_PARTIALS_SCHEMA, fold_edges,
+        map_lookup,
     )
 
     canon_dir = os.path.join(out_dir, "triples_canonical")
-    triples_dir = os.path.join(out_dir, "triples")
     t_gens = graph_gens["triples"]
     lookup = map_lookup(surface_map)
-    if stored is None:
-        shutil.rmtree(canon_dir, ignore_errors=True)
-        rewrite = sorted(t_gens, key=_gen_index)
-        ref = ray.put(surface_map) if rewrite else None
-        for g in rewrite:
-            src = os.path.join(triples_dir, g)
-            # a generation that exploded to no rows has no directory
-            ds = (
-                canonical_triples(_read_generations(src, override_num_blocks=nblocks), ref)
-                if os.path.isdir(src) else None
-            )
-            _write_parquet(ds, os.path.join(canon_dir, g), CANONICAL_TRIPLES_SCHEMA)
-    else:
-        rewrite = [
-            g for g in sorted(t_gens, key=_gen_index)
-            if g not in stored or _hits(out_dir, g, map_delta[0])
-        ]
-        for name in os.listdir(canon_dir) if os.path.isdir(canon_dir) else ():
-            if name not in stored or name in rewrite:
-                shutil.rmtree(os.path.join(canon_dir, name))
-        bucket = pads.partitioning(pa.schema([("bucket", pa.string())]), flavor="hive")
-        for g in rewrite:
-            src = os.path.join(triples_dir, g)
-            rows = CANONICAL_TRIPLES_SCHEMA.empty_table()
-            if os.path.isdir(src):
-                triples = pads.dataset(src, partitioning=bucket).to_table()
-                rows = canonical_rows(triples, lookup).select(CANONICAL_TRIPLES_SCHEMA.names)
-            os.makedirs(os.path.join(canon_dir, g))
-            pq.write_table(
-                rows.cast(CANONICAL_TRIPLES_SCHEMA), os.path.join(canon_dir, g, "part-0.parquet")
-            )
+    rewrite = [
+        g for g in sorted(t_gens, key=_gen_index)
+        if g not in stored or _hits(out_dir, g, map_delta[0])
+    ]
+    # everything else goes, the flat files a scale-plan build left here too
+    for name in os.listdir(canon_dir) if os.path.isdir(canon_dir) else ():
+        if name not in stored or name in rewrite:
+            p = os.path.join(canon_dir, name)
+            shutil.rmtree(p) if os.path.isdir(p) else os.remove(p)
+    bucket = pads.partitioning(pa.schema([("bucket", pa.string())]), flavor="hive")
+    for g in rewrite:
+        src = os.path.join(out_dir, "triples", g)
+        # a generation that exploded to no rows has no directory; its
+        # canonical file keeps just the schema
+        batches = pads.dataset(src, partitioning=bucket).to_batches() if os.path.isdir(src) else []
+        path = os.path.join(canon_dir, g, "part-0.parquet")
+        os.makedirs(os.path.dirname(path))
+        with pq.ParquetWriter(path, CANONICAL_TRIPLES_SCHEMA) as w:
+            for batch in batches:
+                if batch.num_rows:
+                    w.write_table(canonical_triples(pa.Table.from_batches([batch]), lookup))
     counts: dict = {}
     tables = {
-        "nodes": fold_nodes(
+        "nodes": build_nodes(
             _gen_partials(out_dir, "mentions", graph_gens["mentions"], SURFACE_PARTIALS_SCHEMA, counts),
             lookup,
         ),
@@ -685,7 +678,7 @@ def _graph_driver(
     return {
         "nodes": tables["nodes"].num_rows,
         "edges": tables["edges"].num_rows,
-        "mode": "full" if stored is None else "delta",
+        "mode": "delta" if stored else "full",
         "canonical": {
             "rewritten": rewrite,
             "reused": sorted(set(t_gens) - set(rewrite), key=_gen_index),
@@ -785,8 +778,9 @@ def run_kg(
       driver plan.  Union-find closes the components on the driver, and
       P4 relabels the explodes' surface-keyed partials through the surface
       map (an Arrow table) with ``index_in`` + ``take`` lookups and folds
-      nodes and edges on the driver.  A full P4 ships the map once via
-      ``ray.put`` to a Ray map that writes the canonical triples.
+      nodes and edges on the driver.  It streams the triples through the
+      same lookups into the canonical triples, also on the driver: P4
+      starts no Ray execution.
     - above it: the scale plan.  Label propagation
       (stages/linking.py ``link_entities_distributed``) writes the map
       straight to Parquet, and P4 rewrites mentions and triples through
@@ -990,7 +984,7 @@ def run_kg(
                 if surface_map is None:  # linking was reused
                     surface_map = pq.read_table(surface_map_dir)
                 stored = _stored_canonical(out_dir, prev, graph_gens, map_delta)
-                extra = _graph_driver(out_dir, surface_map, graph_gens, stored, map_delta, nblocks)
+                extra = _graph_driver(out_dir, surface_map, graph_gens, stored, map_delta)
     if recomputed_graph:
         extra.update(
             distinct_surfaces=n_surfaces, clusters=link["clusters"], gens=graph_gens

@@ -8,7 +8,7 @@ triples->edges rewrite the north_rule requires.
 The surface map is one Arrow table, (type, surface, node_id, canonical),
 from linking to the rewrites.  A row gets its (node_id, canonical)
 columns by lookup (:func:`_attach`: ``index_in`` + ``take`` against the
-map's keys, a broadcast hash join, the map being the small side by
+map's keys, an in-memory hash join, the map being the small side by
 construction) or, in the scale plan, by a left join against the
 surface-map Parquet.  Both then run the same miss fill
 (:func:`fill_misses`: DATE values and unresolved singletons).
@@ -20,25 +20,23 @@ map: per (type, surface) the mention count and the smallest
 key the url count and the min url (:func:`triple_partials`).  The
 pipeline's explodes write them per block beside their output.  The driver
 plan relabels every generation's partials through the map and folds them
-into nodes (:func:`fold_nodes`) and edges (:func:`fold_edges`) in one
-process, with no Ray execution.  A new representative changes a node id
+into nodes (:func:`build_nodes`) and edges (:func:`fold_edges`), and
+rewrites triples batch by batch (:func:`canonical_triples`), in one
+process with no Ray execution.  A new representative changes a node id
 but no partial, so an append never retracts one; per-block partials move
 one row per surface per block, however skewed the mentions (the
 head-entity treatment of SURVEY §4).
 
-The Ray forms aggregate with the part-keyed reduce shared with linking
+The scale plan's forms, :func:`build_nodes_join` and
+:func:`build_edges_from_canonical`, run on Datasets end to end and
+aggregate with the part-keyed reduce shared with linking
 (``stages/linking.part_keyed_reduce``): a per-block partial, a small-int
 ``part`` column hashed from the group key, then one vectorized merge per
-part.  :func:`build_nodes` folds the same surface partials per block;
-the scale plan's :func:`build_nodes_join` and
-:func:`build_edges_from_canonical` run on Datasets end to end.  Edges
-hash on ``src_id ^ dst_id`` so a hub entity's edges spread over its
-neighbours' parts instead of piling onto one.
+part.  Edges hash on ``src_id ^ dst_id`` so a hub entity's edges spread
+over its neighbours' parts instead of piling onto one.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pyarrow as pa
@@ -112,8 +110,8 @@ def fill_misses(rows: pa.Table, id_col, canon_col, type_col, surface_col, norm_c
     """Resolve the rows whose ``canon_col`` is null — surface-map misses:
     DATE values and unresolved singletons — through :func:`resolve`; hit
     rows stay Arrow.  The one miss path of both rewrite plans: the
-    (id, canonical) columns come from the broadcast lookup
-    (:func:`_attach`) or from a left join."""
+    (id, canonical) columns come from the map lookup (:func:`_attach`) or
+    from a left join."""
     canon = rows.column(canon_col).combine_chunks().cast(pa.string())
     ids = rows.column(id_col).combine_chunks().cast(pa.int64())
     miss = pc.is_null(canon)
@@ -143,16 +141,6 @@ def map_lookup(surface_map: pa.Table) -> tuple:
         surface_map.column("node_id").combine_chunks(),
         surface_map.column("canonical").combine_chunks(),
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _arrow_maps(surface_map_ref):
-    """:func:`map_lookup` of the broadcast surface map, built ONCE per
-    worker process (ObjectRefs hash stably; ``ray.get`` of an Arrow table
-    reads the object store zero-copy)."""
-    import ray
-
-    return map_lookup(ray.get(surface_map_ref))
 
 
 def _attach(rows: pa.Table, lookup, type_col, surface_col, id_col, canon_col):
@@ -326,7 +314,7 @@ def node_shard_merge(group: pa.Table) -> pa.Table:
     )
 
 
-def fold_nodes(partials, lookup) -> pa.Table:
+def build_nodes(partials, lookup) -> pa.Table:
     """Tables of SURFACE_PARTIALS_SCHEMA rows (e.g. one per generation) ->
     the NODES_SCHEMA table, on the driver: each table is relabeled and
     folded on its own, then the folds are merged."""
@@ -337,28 +325,6 @@ def fold_nodes(partials, lookup) -> pa.Table:
 
 def _node_part_key(rows: pa.Table):
     return rows.column("node_id")
-
-
-def _shard_merge_nodes(ds, partial):
-    """``partial`` per block, then merge the node rows part-keyed on
-    ``node_id`` (the shared tail of :func:`build_nodes` and
-    :func:`build_nodes_join`)."""
-    return part_keyed_reduce(
-        ds, partial, _node_part_key, node_shard_merge, PARTIAL_NODES_SCHEMA, NODES_SCHEMA
-    )
-
-
-def _mention_node_partial(batch: pa.Table, surface_map_ref) -> pa.Table:
-    return fold_surface_partials(surface_partials(batch), _arrow_maps(surface_map_ref))
-
-
-def build_nodes(mentions_ds, surface_map_ref):
-    """mentions Dataset + broadcast surface map -> nodes Dataset (linked
-    types + DATE, so every edge endpoint has a nodes row): the Ray form of
-    :func:`fold_nodes`, one block's surface partials folded per task."""
-    return _shard_merge_nodes(
-        mentions_ds, functools.partial(_mention_node_partial, surface_map_ref=surface_map_ref)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -401,17 +367,12 @@ def canonical_rows(batch: pa.Table, lookup) -> pa.Table:
     return _fill_triples(batch)
 
 
-def _rewrite_triples(batch: pa.Table, surface_map_ref) -> pa.Table:
-    return canonical_rows(batch, _arrow_maps(surface_map_ref))
-
-
-def canonical_triples(triples_ds, surface_map_ref):
-    """triples Dataset + broadcast surface map -> triples + (subj/obj
-    canonical, src/dst node id) columns, by :func:`canonical_rows` — the
-    table the P/R evaluation consumes."""
-    return triples_ds.map_batches(
-        _rewrite_triples, fn_kwargs={"surface_map_ref": surface_map_ref}, batch_format="pyarrow"
-    )
+def canonical_triples(triples: pa.Table, lookup) -> pa.Table:
+    """Triple rows with their ``bucket`` + the map's :func:`map_lookup` ->
+    CANONICAL_TRIPLES_SCHEMA rows, by :func:`canonical_rows`: the table
+    the P/R evaluation consumes."""
+    rows = canonical_rows(triples, lookup).select(CANONICAL_TRIPLES_SCHEMA.names)
+    return rows.cast(CANONICAL_TRIPLES_SCHEMA)
 
 
 # --------------------------------------------------------------------------
@@ -557,11 +518,11 @@ def _sm_renamed(surface_map_ds, type_col: str, surface_col: str, id_col: str, ca
 
 def canonical_triples_join(triples_ds, surface_map_ds, num_partitions: int | None = None):
     """triples ⋈ surface map on (type, surface) for both sides — the
-    shuffle alternative to :func:`canonical_triples`'s broadcast lookup,
-    for surface universes too large to ``ray.put``.
+    shuffle alternative to :func:`canonical_triples`' lookup, for surface
+    universes too large to hold on the driver.
 
     BOTH sides LEFT-join and the misses take the same fill as the
-    broadcast path (:func:`_fill_triples`, "never invent, never drop"), so
+    lookup path (:func:`_fill_triples`, "never invent, never drop"), so
     output rows are identical to it (tested).
     """
     n_part = num_partitions or _join_parts()
@@ -580,12 +541,17 @@ def canonical_triples_join(triples_ds, surface_map_ds, num_partitions: int | Non
 
 
 def build_nodes_join(mentions_ds, surface_map_ds, num_partitions: int | None = None):
-    """mentions ⋈ surface map -> nodes Dataset, no broadcast: the shuffle
-    alternative to :func:`build_nodes`, with the same node partial."""
+    """mentions ⋈ surface map -> nodes Dataset (linked types + DATE, so
+    every edge endpoint has a nodes row): the shuffle alternative to
+    :func:`build_nodes`.  A node partial per block, then the node rows
+    merged part-keyed on ``node_id``."""
     joined = mentions_ds.map_batches(_node_rows, batch_format="pyarrow").join(
         _sm_renamed(surface_map_ds, "type", "surface", "node_id", "canonical"),
         join_type="left_outer",
         num_partitions=num_partitions or _join_parts(),
         on=("type", "surface"),
     )
-    return _shard_merge_nodes(joined, node_partials_batch)
+    return part_keyed_reduce(
+        joined, node_partials_batch, _node_part_key, node_shard_merge,
+        PARTIAL_NODES_SCHEMA, NODES_SCHEMA,
+    )

@@ -719,7 +719,7 @@ def link_entities(index: BlockIndex, *, consolidate=None):
 
     The surface map is an Arrow table of :data:`SURFACE_MAP_SCHEMA`, one
     row per distinct linked (type, surface), sorted by (type, surface);
-    callers broadcast it with ``ray.put`` for the rewrite stages.
+    the driver plan's graph phase looks rows up in it on the driver.
     """
     linked = index.surfaces.filter(pc.is_in(index.surfaces.column("type"), pa.array(LINKED_TYPES)))
     labeled = _union_find_labels(linked, index.pairs.select(PAIRS_SCHEMA.names))

@@ -569,7 +569,9 @@ def test_two_appends_fold_the_graph_on_the_driver_and_report_it(
 
 def test_delta_graph_runs_no_ray_execution(tail_parts, tail_full, tmp_path_factory, monkeypatch):
     """Once an append's linking manifest is written, its graph phase runs
-    no Ray Data execution and puts nothing in the object store."""
+    no Ray Data execution and puts nothing in the object store.  Neither
+    does a full graph build, which is the append with nothing stored; a
+    full relink does, so the guard does guard."""
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -581,7 +583,7 @@ def test_delta_graph_runs_no_ray_execution(tail_parts, tail_full, tmp_path_facto
     _grow(pages, tail_parts[2])
 
     def boom(*args, **kwargs):
-        raise AssertionError("Ray used in the graph phase")
+        raise AssertionError("Ray used under the guard")
 
     real = lineage.write_manifest
 
@@ -597,11 +599,88 @@ def test_delta_graph_runs_no_ray_execution(tail_parts, tail_full, tmp_path_facto
     assert lineage.load_manifest(out, "graph")["mode"] == "delta"
     _assert_equal_outputs(out, tail_full)
 
-    # the same guard fails a full graph build, so it does guard
+    # a full graph build over the reused linking passes the same guard
     os.remove(f"{out}/_lineage/graph.json")
+    monkeypatch.setattr(StreamingExecutor, "execute", boom)
+    monkeypatch.setattr(ray, "put", boom)
+    run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.undo()
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["mode"] == "full" and graph["canonical"]["reused"] == []
+    _assert_equal_outputs(out, tail_full)
+
+    # a full relink fails it.  The guard is armed with the explodes'
+    # manifests in place, which the rerun reuses without a write, so the
+    # Ray use it meets is the relink's
+    os.remove(f"{out}/_lineage/linking.json")
+    explodes = {phase: lineage.load_manifest(out, phase) for phase in ("mentions", "triples")}
     monkeypatch.setattr(StreamingExecutor, "execute", boom)
     with pytest.raises(AssertionError, match="Ray used"):
         run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.undo()
+    assert lineage.load_manifest(out, "linking") is None
+    assert {phase: lineage.load_manifest(out, phase) for phase in explodes} == explodes
+
+
+def test_driver_plan_relinks_a_scale_plan_build(tail_parts, tail_full, tmp_path_factory):
+    """A dir built under the scale plan, then appended to at the default
+    threshold: the append relinks the union under the driver plan, and
+    its full graph build replaces the scale plan's flat canonical-triples
+    files with one dir per generation.  Every column equals a clean
+    build's."""
+    base = str(tmp_path_factory.mktemp("scale_then_driver"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs(auto_threshold=0))
+    assert lineage.load_manifest(out, "linking")["plan"] == ["distributed", "join"]
+    assert any(f.endswith(".parquet") for f in os.listdir(f"{out}/triples_canonical"))
+
+    _grow(pages, tail_parts[1])
+    _grow(pages, tail_parts[2])
+    res = run_kg(pages, out, **_tail_kwargs())
+    assert (res["resolved_linking_mode"], res["resolved_rewrite_mode"]) == ("driver", "broadcast")
+    assert lineage.load_manifest(out, "linking")["mode"] == "full"
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["mode"] == "full"
+    assert graph["canonical"] == {"rewritten": ["g0", "g1"], "reused": []}
+    assert sorted(os.listdir(f"{out}/triples_canonical")) == ["g0", "g1"]
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_crash_in_the_canonical_rewrite_resumes_to_a_clean_build(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """A full build that crashes after the first batch of its streamed
+    canonical rewrite leaves that batch's file and no graph manifest.
+    The resume rewrites every generation, so no half-written canonical
+    file remains and every column equals a clean build's."""
+    from pdf_entity_extraction_ray.pipelines import kg
+
+    base = str(tmp_path_factory.mktemp("canonical_crash"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    for part in tail_parts:
+        _grow(pages, part)
+    real = kg.canonical_triples
+    written = []
+
+    def crash_after_first_batch(triples, lookup):
+        if written:
+            raise RuntimeError("crash in the canonical rewrite")
+        written.append(triples.num_rows)
+        return real(triples, lookup)
+
+    monkeypatch.setattr(kg, "canonical_triples", crash_after_first_batch)
+    with pytest.raises(RuntimeError, match="crash in the canonical rewrite"):
+        run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.undo()
+    assert lineage.load_manifest(out, "graph") is None
+    half = pq.read_table(f"{out}/triples_canonical/g0")
+    assert 0 < half.num_rows == written[0] < _sorted_table(tail_full, "triples_canonical").num_rows
+
+    run_kg(pages, out, **_tail_kwargs())
+    assert lineage.load_manifest(out, "graph")["mode"] == "full"
+    assert sorted(_relpaths_mtimes(f"{out}/triples_canonical")) == ["g0/part-0.parquet"]
+    _assert_equal_outputs(out, tail_full)
 
 
 _GAZETTEER = [

@@ -18,6 +18,7 @@ from pdf_entity_extraction_ray.stages import graph, linking
 from pdf_entity_extraction_ray.stages.graph import (
     build_edges_from_canonical,
     build_nodes,
+    build_nodes_join,
     edge_partials_batch,
 )
 from pdf_entity_extraction_ray.stages.linking import (
@@ -184,16 +185,18 @@ def test_build_nodes_same_table_at_any_part_count(monkeypatch):
         }
     )
     france = (node_id_of("GPE", "France"), "France")
-    surface_map_ref = ray.put(
-        _surface_map([("GPE", "France", *france), ("GPE", "french republic", *france),
-                      ("PERSON", "P. 7", node_id_of("PERSON", "Person 7"), "Person 7")])
+    surface_map = _surface_map(
+        [("GPE", "France", *france), ("GPE", "french republic", *france),
+         ("PERSON", "P. 7", node_id_of("PERSON", "Person 7"), "Person 7")]
     )
     blocks = [mentions.slice(0, 100), mentions.slice(0, 0), mentions.slice(100)]
 
     tables = {}
     for parts in (1, 3, 16):
         monkeypatch.setattr(linking, "_coarse_parts", lambda parts=parts: parts)
-        tables[parts] = _nodes(build_nodes(ray.data.from_arrow(blocks), surface_map_ref))
+        tables[parts] = _nodes(
+            build_nodes_join(ray.data.from_arrow(blocks), ray.data.from_arrow(surface_map))
+        )
     assert tables[1].schema == graph.NODES_SCHEMA
     assert tables[1].equals(tables[3]) and tables[1].equals(tables[16])
     by_id = {r["node_id"]: r for r in tables[1].to_pylist()}
@@ -224,19 +227,13 @@ def test_build_nodes_same_table_at_any_block_split():
         }
     )
     france = (node_id_of("GPE", "France"), "France")
-    surface_map_ref = ray.put(
+    lookup = graph.map_lookup(
         _surface_map([("GPE", "France", *france), ("GPE", "french republic", *france)])
     )
     step = -(-mentions.num_rows // 8)
-    one = _nodes(build_nodes(ray.data.from_arrow([mentions]), surface_map_ref))
-    eight = _nodes(
-        build_nodes(
-            ray.data.from_arrow(
-                [mentions.slice(i, step) for i in range(0, mentions.num_rows, step)]
-            ),
-            surface_map_ref,
-        )
-    )
+    one = build_nodes([graph.surface_partials(mentions)], lookup)
+    slices = [mentions.slice(i, step) for i in range(0, mentions.num_rows, step)]
+    eight = build_nodes([graph.surface_partials(s) for s in slices], lookup)
     assert one.equals(eight)
     by_id = {r["node_id"]: r for r in one.to_pylist()}
     hub = by_id[france[0]]
@@ -280,10 +277,11 @@ def test_edges_failure_propagates_without_graph_manifest(small_corpus, tmp_path,
 
 
 def test_driver_folds_equal_the_ray_forms():
-    """``fold_nodes`` / ``fold_edges`` of per-block surface and triple
-    partials (the driver plan's P4) equal ``build_nodes`` and
-    ``build_edges_from_canonical`` over ``canonical_triples`` (the Ray
-    forms), however the partials are grouped into tables."""
+    """``build_nodes`` / ``fold_edges`` of per-block surface and triple
+    partials (the driver plan's P4) equal the scale plan's Ray forms,
+    ``build_nodes_join`` and ``build_edges_from_canonical`` over the
+    blocks' ``canonical_triples``, however the partials are grouped into
+    tables."""
     from pdf_entity_extraction_ray.stages.relations import TRIPLES_SCHEMA
 
     france = (node_id_of("GPE", "France"), "France")
@@ -291,7 +289,6 @@ def test_driver_folds_equal_the_ray_forms():
         [("GPE", "France", *france), ("GPE", "french republic", *france),
          ("PERSON", "P. 7", node_id_of("PERSON", "Person 7"), "Person 7")]
     )
-    ref = ray.put(surface_map)
     lookup = graph.map_lookup(surface_map)
     mentions = pa.table(
         {
@@ -302,10 +299,10 @@ def test_driver_folds_equal_the_ray_forms():
         }
     )
     blocks = [mentions.slice(0, 17), mentions.slice(17)]
-    want = _nodes(build_nodes(ray.data.from_arrow(blocks), ref))
+    want = _nodes(build_nodes_join(ray.data.from_arrow(blocks), ray.data.from_arrow(surface_map)))
     partials = [graph.surface_partials(b) for b in blocks]
-    assert graph.fold_nodes(partials, lookup).equals(want)
-    assert graph.fold_nodes([pa.concat_tables(partials)], lookup).equals(want)
+    assert build_nodes(partials, lookup).equals(want)
+    assert build_nodes([pa.concat_tables(partials)], lookup).equals(want)
 
     rows = [("P. 7", "PERSON", "visited", "french republic", "GPE", "", f"u{i % 5}")
             for i in range(12)]
@@ -316,11 +313,14 @@ def test_driver_folds_equal_the_ray_forms():
     triples = pa.table(
         {c: [r[cols.index(c)] if c in cols else 0 for r in rows] for c in TRIPLES_SCHEMA.names}
     ).cast(TRIPLES_SCHEMA)
+    triples = triples.append_column("bucket", pa.array(["0"] * len(rows)))
     blocks = [triples.slice(0, 7), triples.slice(7)]
     keys = [("src_id", "ascending"), ("pred", "ascending"), ("dst_id", "ascending")]
     want = pa.Table.from_pylist(
         _rows(
-            build_edges_from_canonical(graph.canonical_triples(ray.data.from_arrow(blocks), ref)),
+            build_edges_from_canonical(
+                ray.data.from_arrow([graph.canonical_triples(b, lookup) for b in blocks])
+            ),
             ["src_id", "pred", "dst_id"],
         ),
         schema=graph.EDGES_SCHEMA,
