@@ -6,8 +6,9 @@ Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
                    relation patterns) -> nested per-segment annotations
                    Parquet, one fused Ray task per block
                    (bucket-partitioned by hash(url))
-  P2 explodes    : annotations -> flat mentions and triples Parquet, and
-                   per block their surface-keyed graph partials
+  P2 explodes    : annotations -> flat mentions and triples Parquet and
+                   their surface-keyed graph partials, one Ray execution
+                   per generation whose tasks write every file
   P3 linking     : mentions -> distinct surfaces (whose count picks the
                    plan) -> LSH blocks -> pair test -> union-find (label
                    propagation past the threshold) -> surface map (an
@@ -30,7 +31,10 @@ stage is a streaming Dataset transform.
 a new snapshot lands as new Parquet files next to the old ones): the
 per-page phases (P1 tagging — the dominant cost — and the P2 explodes)
 record which input files each output GENERATION consumed and process only
-new files into new ``g<k>`` subdirs.  P3 linking records the mentions
+new files into new ``g<k>`` subdirs; P2 reads a new annotations generation
+once and writes both flat tables and both partials from its tasks.  Every
+phase runs its Ray executions one after another, from the driver's one
+thread.  P3 linking records the mentions
 generations it consumed and keeps its block index (``linking_index/``,
 beside ``surface_map/``); under the driver plan an append block-keys and
 pair-tests only its new surfaces against that index on the driver, with
@@ -57,28 +61,6 @@ import hashlib
 import os
 
 import pyarrow as pa
-
-# Thread-safety shim: ray.data's path resolution tries
-# ``from fsspec.implementations.http import HTTPFileSystem`` on every
-# read/write.  In this environment that import always fails (no aiohttp) —
-# single-threaded the ModuleNotFoundError is caught, but CONCURRENT failing
-# imports race into a partially-initialized module that raises a plain
-# ImportError instead, crashing thread-overlapped phase executions.  Plant
-# a sentinel module so the import succeeds deterministically (the sentinel
-# class matches no real filesystem, so behavior is unchanged).
-try:  # pragma: no cover
-    from fsspec.implementations.http import HTTPFileSystem as _HTTPFS  # noqa: F401
-except Exception:  # pragma: no cover
-    import sys as _sys
-    import types as _types
-
-    _mod = _types.ModuleType("fsspec.implementations.http")
-
-    class _SentinelHTTPFileSystem:  # never instantiated
-        pass
-
-    _mod.HTTPFileSystem = _SentinelHTTPFileSystem
-    _sys.modules["fsspec.implementations.http"] = _mod
 
 from ..sources.corpus import cached_catalog, catalog_gazetteer
 from ..stages.annotate import Annotator, explode_mentions_batch, explode_triples_batch
@@ -111,13 +93,21 @@ CODE_VERSION = 8  # bump to invalidate all phase outputs (v8: graph partials)
 # with two and 606 MB with the 21-url cap in every partial (1.6-6 GB at
 # 10^6 by the same extrapolation).  That is past the link's order, so it
 # argues against raising this value without a measurement at 10^6.  Its
-# canonical rewrite holds one triples batch at a time: a whole full P4
+# canonical rewrite holds at most ``CANONICAL_BATCH_ROWS`` triples (plus one
+# file's batch) at a time: a whole full P4
 # grew the driver's RSS by 0.2-0.4 MB at peak on the 240-page long-tail
 # corpus of tests/test_tail_scale.py (1,108 triples) and by 0.8-1.5 MB on
 # 1,500 such pages (7,369 triples), too small to weigh against the fold.
 # Outputs are identical across the two plans (tested), so the switch is
 # purely an execution-strategy decision.
 AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
+
+# The driver plan's canonical rewrite passes ``canonical_triples`` whole
+# Parquet batches of a triples generation coalesced up to this many rows.
+# A generation holds a batch per bucket file, and each call pays ~0.6 ms of
+# fixed cost (two hash builds over the map's keys, the miss fills, a row
+# group): 16 calls for a 75-page append's 420 rows took 21 ms, one 10 ms.
+CANONICAL_BATCH_ROWS = 65_536
 
 
 def _filter_buckets(batch: pa.Table, wanted: frozenset, n_buckets: int) -> pa.Table:
@@ -380,8 +370,9 @@ def _run_partitioned_phase(
             # without it every task writes a file per bucket it touches
             # (blocks x buckets tiny files — measured to poison EVERY
             # downstream read, even with override_num_blocks); with it the
-            # file count is ~n_buckets and downstream explodes inherit the
-            # clustering (so they need no shuffle of their own).  A range
+            # file count is ~n_buckets, and the explode tasks, which read
+            # this clustering back, write each table's hive files from the
+            # task with no shuffle of their own.  A range
             # sort on the low-cardinality int32 key, not a hash repartition:
             # Ray's HASH_SHUFFLE measured 28x slower and livelocked this
             # phase (BASELINE.md "Bucket clustering A/B").
@@ -407,102 +398,112 @@ def _partials_dir(out_dir: str, phase: str) -> str:
     return os.path.join(out_dir, "graph_partials", phase)
 
 
-def _explode_block(batch: pa.Table, explode_fn, partial_fn, partials_dir: str) -> pa.Table:
-    """One annotations block -> its flat rows.  The block's graph partials
-    (``partial_fn`` of those rows) go to one Parquet file in
-    ``partials_dir`` when there are any, so they never pass through the
-    driver.  The file is named by a hash of the block's first (url,
-    seg_id), which no other block holds, so a retried task rewrites the
-    same file."""
+def _explode_block(batch: pa.Table, explodes: dict, out_dir: str, gen: str) -> pa.Table:
+    """One annotations block -> both flat tables and their graph partials,
+    written from the task.  For each table (``explodes`` maps it to its
+    explode and partial functions) the rows go to
+    ``<table>/<gen>/bucket=<b>/`` with the ``bucket`` column dropped, the
+    hive layout ``Dataset.write_parquet`` writes, and the partials to
+    ``graph_partials/<table>/<gen>/``, so no row passes through the
+    driver.  Every file is named by a hash of the block's first (url,
+    seg_id), which no other block holds, so a retried task rewrites its own
+    files.  Returns the rows written per table."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    rows = explode_fn(batch)
-    partials = partial_fn(rows)
-    if partials.num_rows:
+    written = {}
+    for table, (explode_fn, partial_fn) in explodes.items():
+        rows = explode_fn(batch)
+        written[table] = [rows.num_rows]
+        if not rows.num_rows:
+            continue
         first = f"{batch.column('url')[0].as_py()}\x00{batch.column('seg_id')[0].as_py()}"
         name = hashlib.blake2b(first.encode(), digest_size=8).hexdigest()
-        pq.write_table(partials, os.path.join(partials_dir, f"{name}.parquet"))
-    return rows
+        pads.write_dataset(
+            rows, os.path.join(out_dir, table, gen), format="parquet",
+            partitioning=["bucket"], partitioning_flavor="hive",
+            basename_template=f"{name}-{{i}}.parquet", existing_data_behavior="overwrite_or_ignore",
+        )
+        partials = partial_fn(rows)
+        if partials.num_rows:
+            pq.write_table(
+                partials, os.path.join(_partials_dir(out_dir, table), gen, f"{name}.parquet")
+            )
+    return pa.table(written)
 
 
-def _explode_phase(
-    out_dir: str,
-    phase: str,
-    annotations_dir: str,
-    explode_fn,
-    partial_fn,
-    fp: str,
-    resume: bool,
-    columns: list[str],
-    nblocks: int,
-) -> str:
-    """annotations -> flat table via a stateless explode (whole-phase
-    manifest; the artifact keeps the hive ``bucket`` partitioning), and
-    the graph partials of each block (``partial_fn``) under
-    :func:`_partials_dir`.
-
-    The annotations artifact is bucket-clustered on disk, and the explode
-    preserves block order, so the hive write needs no shuffle; ``columns``
-    prunes the read (each explode consumes only its own nested column) and
-    ``nblocks`` sets its block count.
+def _explode_phase(out_dir: str, annotations_dir: str, base_fp: dict, resume: bool, nblocks: int):
+    """annotations -> the flat ``mentions`` and ``triples`` tables (one
+    whole-phase manifest each; both keep the hive ``bucket``
+    partitioning) and the graph partials of each block under
+    :func:`_partials_dir`, in ONE Ray Data execution per annotations
+    generation: every block is read once, with all its columns, and
+    :func:`_explode_block` writes every file from the task.  The
+    annotations artifact is bucket-clustered on disk, so the hive files
+    need no shuffle; ``nblocks`` sets the read's block count.  Returns the
+    (mentions, triples) table dirs.
 
     Mirrors the annotations artifact's GENERATIONS (incremental appends):
-    each annotation gen explodes into its own ``g<k>`` subdir of the table
-    and of the partials, keyed by the upstream gen's ``tag`` — an
-    already-exploded gen is skipped, a gen whose upstream was rebuilt (tag
-    change) is re-exploded, and a gen dir present on disk but not recorded
-    done (mid-explode crash) is dropped and redone.  Explodes are cheap
-    relative to tagging, so gen (not bucket) is the resume grain here."""
+    each annotation gen explodes into its own ``g<k>`` subdir of both
+    tables and both partials, keyed by the upstream gen's ``tag``.  A gen
+    is done only when both manifests record it with its current tag;
+    anything else in a table or partials dir (a mid-explode crash, an
+    upstream rebuild, a pre-generation layout) is dropped and the gen
+    redone for both tables.  Explodes are cheap relative to tagging, so
+    gen (not bucket) is the resume grain here."""
     import shutil
 
     import ray.data
 
-    table_dir = os.path.join(out_dir, phase)
-    partials_dir = _partials_dir(out_dir, phase)
-    ann_manifest = lineage.load_manifest(out_dir, "annotations") or {}
-    ann_gens: dict = ann_manifest.get("generations", {})
-    manifest = lineage.load_manifest(out_dir, phase) if resume else None
-    if manifest is not None and manifest.get("fingerprint") != fp:
-        manifest = None
-    if not resume and os.path.isdir(table_dir):
-        lineage.invalidate(out_dir, phase, table_dir)
-    done: dict = dict(manifest.get("exploded_gens", {})) if manifest else {}
-    # done maps gen name -> upstream tag it was exploded from
-    done = {g: t for g, t in done.items() if ann_gens.get(g, {}).get("tag") == t}
+    # looked up at call time: perfbench/tracing.py wraps the explodes by name
+    explodes = {
+        "mentions": (explode_mentions_batch, surface_partials),
+        "triples": (explode_triples_batch, triple_partials),
+    }
+    fps = {t: lineage.fingerprint({**base_fp, "phase": t}) for t in explodes}
+    dirs = [os.path.join(out_dir, t) for t in explodes]
+    ann_gens: dict = (lineage.load_manifest(out_dir, "annotations") or {}).get("generations", {})
+    recorded = []
+    for t, fp in fps.items():
+        m = lineage.load_manifest(out_dir, t) if resume else None
+        if not resume:  # the manifest goes before its artifacts (swept below)
+            lineage.invalidate(out_dir, t)
+        recorded.append(m["exploded_gens"] if m is not None and m["fingerprint"] == fp else {})
+    # gen name -> the upstream tag both tables were exploded from
+    done = {
+        g: gen["tag"]
+        for g, gen in ann_gens.items()
+        if all(r.get(g) == gen["tag"] for r in recorded)
+    }
     todo = [g for g in sorted(ann_gens, key=_gen_index) if g not in done]
-    for root in (table_dir, partials_dir):
-        # sweep anything not recorded done: partial gens from a crash AND
-        # pre-generation-layout bucket dirs from older code versions
+    for root in dirs + [_partials_dir(out_dir, t) for t in explodes]:
         for name in os.listdir(root) if os.path.isdir(root) else ():
             if name not in done:
                 p = os.path.join(root, name)
                 shutil.rmtree(p, ignore_errors=True) if os.path.isdir(p) else os.remove(p)
-    if not todo and manifest is not None:
-        return table_dir
+    if not todo and all(r == done for r in recorded):
+        return dirs
     with lineage.PhaseTimer() as timer:
         for g in todo:
-            os.makedirs(os.path.join(partials_dir, g))
+            for t in explodes:
+                os.makedirs(os.path.join(_partials_dir(out_dir, t), g))
             ds = ray.data.read_parquet(
-                os.path.join(annotations_dir, g),
-                columns=columns,
-                override_num_blocks=nblocks,
+                os.path.join(annotations_dir, g), override_num_blocks=nblocks
             )
-            ds = ds.map_batches(
+            ds.map_batches(
                 _explode_block,
-                fn_kwargs={
-                    "explode_fn": explode_fn,
-                    "partial_fn": partial_fn,
-                    "partials_dir": os.path.join(partials_dir, g),
-                },
+                fn_kwargs={"explodes": explodes, "out_dir": out_dir, "gen": g},
                 batch_format="pyarrow",
-            )
-            ds.write_parquet(os.path.join(table_dir, g), partition_cols=["bucket"])
+            ).materialize()
             done[g] = ann_gens[g]["tag"]
-    total, per = _bucket_rows(table_dir)
-    lineage.write_manifest(
-        out_dir, phase, fp, total, timer.wall, per, extra={"exploded_gens": done}
-    )
-    return table_dir
+    for (t, fp), table_dir in zip(fps.items(), dirs):
+        # a table with no row yet has no generation dir; readers need its root
+        os.makedirs(table_dir, exist_ok=True)
+        total, per = _bucket_rows(table_dir)
+        lineage.write_manifest(
+            out_dir, t, fp, total, timer.wall, per, extra={"exploded_gens": done}
+        )
+    return dirs
 
 
 def _link_delta(
@@ -615,6 +616,21 @@ def _hits(out_dir: str, gen: str, keys: pa.Array) -> bool:
     )
 
 
+def _coalesce(batches, rows: int):
+    """The non-empty record ``batches`` as tables of whole consecutive
+    batches, each closed by the batch that brings it to ``rows`` rows."""
+    pending, n = [], 0
+    for batch in batches:
+        if batch.num_rows:
+            pending.append(batch)
+            n += batch.num_rows
+        if n >= rows:
+            yield pa.Table.from_batches(pending)
+            pending, n = [], 0
+    if pending:
+        yield pa.Table.from_batches(pending)
+
+
 def _graph_driver(
     out_dir: str, surface_map: pa.Table, graph_gens: dict, stored: dict, map_delta
 ) -> dict:
@@ -624,7 +640,8 @@ def _graph_driver(
     for each one not in ``stored`` and each stored one whose triple
     partials hold a key this call's link changed (``map_delta``); the rest
     are kept.  A full build is the case with nothing stored.  A rewrite
-    streams the generation's triples batch by batch into one file.
+    streams the generation's triples into one file, its batches coalesced
+    up to :data:`CANONICAL_BATCH_ROWS` rows.
     Returns the graph manifest's counts."""
     import shutil
 
@@ -657,9 +674,8 @@ def _graph_driver(
         path = os.path.join(canon_dir, g, "part-0.parquet")
         os.makedirs(os.path.dirname(path))
         with pq.ParquetWriter(path, CANONICAL_TRIPLES_SCHEMA) as w:
-            for batch in batches:
-                if batch.num_rows:
-                    w.write_table(canonical_triples(pa.Table.from_batches([batch]), lookup))
+            for triples in _coalesce(batches, CANONICAL_BATCH_ROWS):
+                w.write_table(canonical_triples(triples, lookup))
     counts: dict = {}
     tables = {
         "nodes": build_nodes(
@@ -840,30 +856,11 @@ def run_kg(
         stage_ray_remote_args=tagger_ray_remote_args,
     )
 
-    # P2: flat mentions / triples tables = cheap explode projections.
-    # The two datasets are independent -> submit from two driver threads so
-    # their Ray executions overlap (halves this phase's fixed latency).
-    # In-thread dataset construction is safe HERE because the module-top
-    # fsspec shim pre-imports the one lazy module that races.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # every read after tagging (explodes, linking, graph) takes 2 blocks/CPU
+    # P2: flat mentions / triples tables = cheap explode projections, one
+    # execution per annotations generation.  Every read after tagging
+    # (explodes, linking, graph) takes 2 blocks/CPU
     nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        mentions_fut = pool.submit(
-            _explode_phase, out_dir, "mentions", annotations_dir,
-            explode_mentions_batch, surface_partials,
-            lineage.fingerprint({**base_fp, "phase": "mentions"}), resume,
-            ["url", "seg_id", "lang", "seg_offset", "mentions", "bucket"], nblocks,
-        )
-        triples_fut = pool.submit(
-            _explode_phase, out_dir, "triples", annotations_dir,
-            explode_triples_batch, triple_partials,
-            lineage.fingerprint({**base_fp, "phase": "triples"}), resume,
-            ["url", "seg_id", "triples", "bucket"], nblocks,
-        )
-        mentions_dir = mentions_fut.result()
-        triples_dir = triples_fut.result()
+    mentions_dir, triples_dir = _explode_phase(out_dir, annotations_dir, base_fp, resume, nblocks)
 
     # P3: linking — the surface map is itself a checkpointed Parquet
     # artifact.  The linking manifest records the mentions generations (and

@@ -6,7 +6,9 @@ inference, SURVEY §6); running it once and materializing a nested
 per-segment row is strictly cheaper than the naive two-phase layout
 (mentions phase + triples phase each re-tagging every segment).  The flat
 ``mentions`` / ``triples`` deliverable tables are cheap explode
-projections of this artifact.
+projections of this artifact; ``run_kg`` runs both explodes in one task
+per annotations block, which reads the block once and writes both tables
+(``pipelines.kg._explode_block``).
 
 Per-segment nesting also guarantees a segment's mentions can never split
 across batch boundaries, a hazard if triples were derived from the mentions

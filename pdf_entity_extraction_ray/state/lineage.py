@@ -94,11 +94,6 @@ def load_manifest(out_dir: str, phase: str) -> dict | None:
         return json.load(f)
 
 
-def phase_complete(out_dir: str, phase: str, fp: str) -> bool:
-    m = load_manifest(out_dir, phase)
-    return m is not None and m.get("fingerprint") == fp
-
-
 def write_manifest(
     out_dir: str,
     phase: str,

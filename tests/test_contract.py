@@ -63,6 +63,37 @@ def test_no_ray_init_in_library_code():
     assert not offenders, offenders
 
 
+def test_no_driver_threads_in_pipelines_or_stages():
+    """``pipelines/`` and ``stages/`` import neither ``concurrent.futures``
+    nor ``threading``.  Ray Data executions started concurrently from
+    driver threads race in Ray's path resolution: each read and write
+    tries ``from fsspec.implementations.http import HTTPFileSystem``,
+    which fails without aiohttp, and concurrent failing imports can meet a
+    partly initialised module and raise a plain ``ImportError`` that
+    crashes the build.  No module plants a stand-in for that import, so
+    every phase runs its executions one after another."""
+    import ast
+
+    banned = ("concurrent", "threading")
+    offenders = []
+    for sub in ("pipelines", "stages"):
+        for root, _dirs, files in os.walk(os.path.join(REPO, "pdf_entity_extraction_ray", sub)):
+            for f in (f for f in files if f.endswith(".py")):
+                path = os.path.join(root, f)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        names = [a.name for a in node.names]
+                    elif isinstance(node, ast.ImportFrom) and not node.level:
+                        names = [node.module or ""]
+                    else:
+                        continue
+                    if any(n.split(".")[0] in banned for n in names):
+                        offenders.append(f"{path}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_entry_module_shape():
     m = _entry_module()
     assert callable(m.entry)

@@ -660,6 +660,9 @@ def test_crash_in_the_canonical_rewrite_resumes_to_a_clean_build(
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     for part in tail_parts:
         _grow(pages, part)
+    # coalesced batches: below the triple count, the rewrite takes two calls
+    n_triples = pads.dataset(f"{tail_full}/triples", partitioning="hive").count_rows()
+    monkeypatch.setattr(kg, "CANONICAL_BATCH_ROWS", n_triples // 2)
     real = kg.canonical_triples
     written = []
 
@@ -806,10 +809,10 @@ def test_crash_before_graph_manifest_resumes_to_a_clean_build(
 def test_crashed_explode_leaves_no_partial_file_behind(
     tail_parts, tail_full, tmp_path_factory, monkeypatch
 ):
-    """An explode that crashed before its manifest leaves the partial
-    files of an unrecorded generation, here including one from a block
-    split the rerun will not repeat.  The rerun sweeps them, so no row is
-    folded twice."""
+    """An explode that crashed before its manifest leaves the table and
+    partial files of an unrecorded generation, here including ones from a
+    block split the rerun will not repeat.  The rerun sweeps them, so no
+    row is read or folded twice."""
     base = str(tmp_path_factory.mktemp("explode_crash"))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
@@ -833,13 +836,171 @@ def test_crashed_explode_leaves_no_partial_file_behind(
     assert left
     stray = os.path.join(gen_dir, "0123456789abcdef.parquet")
     shutil.copy(os.path.join(gen_dir, left[0]), stray)
+    bucket_dir = os.path.join(f"{out}/mentions/g1", sorted(os.listdir(f"{out}/mentions/g1"))[0])
+    assert os.path.basename(bucket_dir).startswith("bucket=")
+    table_stray = os.path.join(bucket_dir, "0123456789abcdef-0.parquet")
+    shutil.copy(os.path.join(bucket_dir, sorted(os.listdir(bucket_dir))[0]), table_stray)
 
     run_kg(pages, out, **_tail_kwargs())
     assert not os.path.exists(stray)
+    assert not os.path.exists(table_stray)
     for phase in ("mentions", "triples"):
         recorded = lineage.load_manifest(out, phase)["exploded_gens"]
         assert sorted(os.listdir(f"{out}/graph_partials/{phase}")) == sorted(recorded)
     _assert_equal_outputs(out, tail_full)
+
+
+def test_append_explodes_its_generation_in_one_execution_and_one_read(
+    tail_parts, tmp_path_factory, monkeypatch
+):
+    """Between the annotations manifest and the mentions manifest, an
+    append starts one Ray Data execution and reads its new annotations
+    generation once; that execution writes both flat tables and both
+    partials of the generation."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    base = str(tmp_path_factory.mktemp("one_explode"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[1])
+
+    written, executions, reads = [], [], []
+    real_write, real_execute, real_read = (
+        lineage.write_manifest, StreamingExecutor.execute, ray.data.read_parquet
+    )
+
+    def in_explodes():
+        return "annotations" in written and "mentions" not in written
+
+    def write(out_dir, phase, *a, **kw):
+        written.append(phase)
+        return real_write(out_dir, phase, *a, **kw)
+
+    def execute(self, *a, **kw):
+        if in_explodes():
+            executions.append(1)
+        return real_execute(self, *a, **kw)
+
+    def read(paths, *a, **kw):
+        if in_explodes():
+            reads.append(paths)
+        return real_read(paths, *a, **kw)
+
+    monkeypatch.setattr(lineage, "write_manifest", write)
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    monkeypatch.setattr(ray.data, "read_parquet", read)
+    run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.undo()
+    assert written[:3] == ["annotations", "mentions", "triples"]
+    assert len(executions) == 1 and reads == [os.path.join(out, "annotations", "g1")]
+    for phase in ("mentions", "triples"):
+        assert sorted(lineage.load_manifest(out, phase)["exploded_gens"]) == ["g0", "g1"]
+        assert os.listdir(f"{out}/{phase}/g1") and os.listdir(f"{out}/graph_partials/{phase}/g1")
+
+
+def test_crash_between_the_explode_manifests_redoes_the_generation(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """A crash after the mentions manifest and before the triples manifest
+    leaves the append's generation recorded for one table only.  The
+    resume redoes it for both: it rewrites the same table and partial
+    files, none twice, keeps the earlier generation's, and every column
+    equals a clean build's."""
+    base = str(tmp_path_factory.mktemp("explode_manifest_crash"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    _grow(pages, tail_parts[1])
+    _grow(pages, tail_parts[2])
+    real = lineage.write_manifest
+
+    def crash_on_triples(out_dir, phase, *a, **kw):
+        if phase == "triples":
+            raise RuntimeError("crash before the triples manifest")
+        return real(out_dir, phase, *a, **kw)
+
+    monkeypatch.setattr(lineage, "write_manifest", crash_on_triples)
+    with pytest.raises(RuntimeError, match="crash before"):
+        run_kg(pages, out, **_tail_kwargs())
+    monkeypatch.setattr(lineage, "write_manifest", real)
+    assert sorted(lineage.load_manifest(out, "mentions")["exploded_gens"]) == ["g0", "g1"]
+    assert sorted(lineage.load_manifest(out, "triples")["exploded_gens"]) == ["g0"]
+    roots = ("mentions", "triples", "graph_partials")
+    before = {r: _relpaths_mtimes(f"{out}/{r}") for r in roots}
+
+    run_kg(pages, out, **_tail_kwargs())
+    for r in roots:
+        after = _relpaths_mtimes(f"{out}/{r}")
+        assert sorted(after) == sorted(before[r]), r
+        for rel, mtime in after.items():
+            redone = f"g1{os.sep}" in rel
+            assert (mtime > before[r][rel]) if redone else (mtime == before[r][rel]), rel
+    for phase in ("mentions", "triples"):
+        assert sorted(lineage.load_manifest(out, phase)["exploded_gens"]) == ["g0", "g1"]
+        got, want = _sorted_table(out, phase), _sorted_table(tail_full, phase)
+        assert got.num_rows and got.equals(want), phase
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["partial_rows"] == {
+        "surfaces": _partial_rows(out, "mentions"), "triples": _partial_rows(out, "triples"),
+    }
+    _assert_equal_outputs(out, tail_full)
+
+
+def _sorted_file(path):
+    t = pq.read_table(path)
+    return t.sort_by([(f.name, "ascending") for f in t.schema if not pa.types.is_list(f.type)])
+
+
+def test_explode_block_rewrites_its_own_files(tmp_path):
+    """A retried explode task (here ``_explode_block`` called twice on one
+    block) rewrites the same files with the same rows: each table's rows
+    per ``bucket=<b>`` dir without the ``bucket`` column, and the partials
+    beside them."""
+    from pdf_entity_extraction_ray.pipelines.kg import _explode_block, _partials_dir
+    from pdf_entity_extraction_ray.stages.annotate import (
+        Annotator, explode_mentions_batch, explode_triples_batch,
+    )
+    from pdf_entity_extraction_ray.stages.graph import surface_partials, triple_partials
+
+    sentences = [
+        "John Smith works for Acme Corp and more.", "Jane Doe visited Berlin and more.",
+        "Mary Major works for Globex Inc. and more.", "Ed Wood works for Initech Llc and more.",
+    ]
+    n = len(sentences)
+    segments = pa.table({
+        "url": [f"https://retry.example.test/page/{i}" for i in range(n)],
+        "seg_id": pa.array([0] * n, pa.int32()),
+        "lang": ["en"] * n,
+        "text": sentences,
+        "seg_offset": pa.array([0] * n, pa.int32()),
+    })
+    block = Annotator(_GAZETTEER, n_buckets=4)(segments)
+    explodes = {
+        "mentions": (explode_mentions_batch, surface_partials),
+        "triples": (explode_triples_batch, triple_partials),
+    }
+    out = str(tmp_path)
+    for table in explodes:
+        os.makedirs(os.path.join(_partials_dir(out, table), "g0"))
+
+    def files():
+        return {rel: _sorted_file(os.path.join(out, rel)) for rel in _relpaths_mtimes(out)}
+
+    written = _explode_block(block, explodes, out, "g0")
+    first = files()
+    assert _explode_block(block, explodes, out, "g0").equals(written)
+    again = files()
+    assert sorted(again) == sorted(first)
+    for rel, rows in first.items():
+        assert again[rel].equals(rows), rel
+    for table in explodes:
+        hive = [rel for rel in first if rel.startswith(f"{table}{os.sep}g0{os.sep}bucket=")]
+        partials = [rel for rel in first if rel.startswith(f"graph_partials{os.sep}{table}")]
+        assert len(partials) == 1 and hive, table
+        assert all("bucket" not in first[rel].column_names for rel in hive)
+        assert sum(first[rel].num_rows for rel in hive) == written[table][0].as_py() > 0
 
 
 def test_scale_plan_builds_a_corpus_without_triples(tmp_path_factory):
