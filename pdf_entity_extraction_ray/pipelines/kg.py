@@ -59,6 +59,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import shutil
 
 import pyarrow as pa
 
@@ -118,23 +119,6 @@ def _filter_buckets(batch: pa.Table, wanted: frozenset, n_buckets: int) -> pa.Ta
     return batch.filter(pa.array(mask, pa.bool_()))
 
 
-def _bucket_rows(table_dir: str) -> tuple[int, dict[int, int]]:
-    import pyarrow.dataset as pads
-
-    ds = pads.dataset(table_dir, partitioning="hive")
-    per: dict[int, int] = {}
-    total = 0
-    for frag in ds.get_fragments():
-        n = frag.count_rows()
-        total += n
-        # hive path .../bucket=N/file.parquet
-        for part in frag.path.split(os.sep):
-            if part.startswith("bucket="):
-                b = int(part.split("=", 1)[1])
-                per[b] = per.get(b, 0) + n
-    return total, per
-
-
 def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
     """``ds.write_parquet(path)``, or one empty ``schema`` file at ``path``
     when ``ds`` is None or has no rows: Ray 2.49 then writes no file and
@@ -160,48 +144,12 @@ def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
     return lineage.fingerprint({"fp": fp, "gen": gen_name, "files": files})
 
 
-@functools.lru_cache(maxsize=1)
-def _driver_footers():
-    """A Parquet metadata provider that reads every file footer on the
-    driver.  Past ``PARALLELIZE_META_FETCH_THRESHOLD`` (24) files, Ray
-    Data's default provider fetches footers with Ray tasks of 0.5 CPU, 6
-    files each.  A table of two generations (16 bucket files each) then
-    launches 5 such tasks, and with 4 idle workers the fifth waited ~0.6 s
-    for a new worker process (seen with ``ray.timeline``) in about a third
-    of ``tail_append`` builds, the largest spread in that workload's wall.
-    The footers of the pipeline's own tables read in milliseconds here."""
-    from ray.data.datasource.parquet_meta_provider import (
-        PARALLELIZE_META_FETCH_THRESHOLD,
-        ParquetMetadataProvider,
-    )
-
-    class DriverFooters(ParquetMetadataProvider):
-        def prefetch_file_metadata(self, fragments, **ray_remote_args):
-            # the base class reads up to the threshold in-process; a short
-            # chunk (a file without footer metadata) ends the list, as it
-            # does there, and Ray pads the rest with None
-            out = []
-            step = PARALLELIZE_META_FETCH_THRESHOLD
-            for i in range(0, len(fragments), step):
-                chunk = fragments[i : i + step]
-                got = super().prefetch_file_metadata(chunk) or []
-                out += got
-                if len(got) < len(chunk):
-                    break
-            return out
-
-    return DriverFooters()
-
-
-def _read_generations(table_dir: str, **kwargs):
-    """``ray.data.read_parquet`` of a generation-partitioned table this
-    pipeline wrote (mentions, triples), its footers read on the driver
-    (:func:`_driver_footers`).  ``meta_provider`` is a deprecated argument
-    of Ray 2.49's ``read_parquet``; its DeprecationWarning is ignored by
-    Python's default filters."""
-    import ray.data
-
-    return ray.data.read_parquet(table_dir, meta_provider=_driver_footers(), **kwargs)
+def _sweep(root: str, keep) -> None:
+    """Remove every entry of ``root``, dir or file, not named in ``keep``."""
+    for name in os.listdir(root) if os.path.isdir(root) else ():
+        if name not in keep:
+            p = os.path.join(root, name)
+            shutil.rmtree(p, ignore_errors=True) if os.path.isdir(p) else os.remove(p)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,6 +212,7 @@ def _run_partitioned_phase(
     manifest write (and drive the unattributable-dir sweep); a crash
     MID-write re-pays the whole generation — true per-bucket streaming
     markers would need a custom datasink."""
+    import pyarrow.dataset as pads
     import ray.data
 
     table_dir = os.path.join(out_dir, phase)
@@ -305,13 +254,7 @@ def _run_partitioned_phase(
     # half-written gens under a LOST manifest, and pre-generation-layout
     # bucket dirs from older code versions.  Their source files reappear
     # in new_files, so keeping them would duplicate rows downstream.
-    if os.path.isdir(table_dir):
-        import shutil
-
-        for name in os.listdir(table_dir):
-            if name not in generations and name != gen_name:
-                p = os.path.join(table_dir, name)
-                shutil.rmtree(p, ignore_errors=True) if os.path.isdir(p) else os.remove(p)
+    _sweep(table_dir, {*generations, gen_name})
     done = lineage.existing_buckets(gen_dir, gen_fp) if resume else set()
     missing = frozenset(range(n_buckets)) - done
     # partial writes from a mid-phase crash and stale-fingerprint orphans
@@ -380,9 +323,11 @@ def _run_partitioned_phase(
             lineage.mark_buckets_complete(gen_dir, gen_fp)
 
     generations[gen_name] = {"files": new_files, "tag": gen_fp}
-    total, per = _bucket_rows(table_dir)
+    # the rows this call's generation holds, from its own footers: the
+    # stored generations' files are never opened (an empty input writes none)
+    rows = pads.dataset(gen_dir, partitioning="hive").count_rows() if os.path.isdir(gen_dir) else 0
     lineage.write_manifest(
-        out_dir, phase, fp, total, timer.wall, per,
+        out_dir, phase, fp, rows, timer.wall,
         extra={
             "recomputed_buckets": sorted(missing),
             "n_buckets": n_buckets,
@@ -450,9 +395,8 @@ def _explode_phase(out_dir: str, annotations_dir: str, base_fp: dict, resume: bo
     anything else in a table or partials dir (a mid-explode crash, an
     upstream rebuild, a pre-generation layout) is dropped and the gen
     redone for both tables.  Explodes are cheap relative to tagging, so
-    gen (not bucket) is the resume grain here."""
-    import shutil
-
+    gen (not bucket) is the resume grain here.  Each manifest's ``rows``
+    counts the rows this call wrote, summed from the tasks' returns."""
     import ray.data
 
     # looked up at call time: perfbench/tracing.py wraps the explodes by name
@@ -477,12 +421,10 @@ def _explode_phase(out_dir: str, annotations_dir: str, base_fp: dict, resume: bo
     }
     todo = [g for g in sorted(ann_gens, key=_gen_index) if g not in done]
     for root in dirs + [_partials_dir(out_dir, t) for t in explodes]:
-        for name in os.listdir(root) if os.path.isdir(root) else ():
-            if name not in done:
-                p = os.path.join(root, name)
-                shutil.rmtree(p, ignore_errors=True) if os.path.isdir(p) else os.remove(p)
+        _sweep(root, done)
     if not todo and all(r == done for r in recorded):
         return dirs
+    rows = dict.fromkeys(explodes, 0)
     with lineage.PhaseTimer() as timer:
         for g in todo:
             for t in explodes:
@@ -490,19 +432,19 @@ def _explode_phase(out_dir: str, annotations_dir: str, base_fp: dict, resume: bo
             ds = ray.data.read_parquet(
                 os.path.join(annotations_dir, g), override_num_blocks=nblocks
             )
-            ds.map_batches(
+            for written in ds.map_batches(
                 _explode_block,
                 fn_kwargs={"explodes": explodes, "out_dir": out_dir, "gen": g},
                 batch_format="pyarrow",
-            ).materialize()
+            ).iter_rows():
+                for t in explodes:
+                    rows[t] += written[t]
             done[g] = ann_gens[g]["tag"]
     for (t, fp), table_dir in zip(fps.items(), dirs):
-        # a table with no row yet has no generation dir; readers need its root
+        # a table with no row yet has no generation dir; run_kg returns its
+        # root to readers all the same
         os.makedirs(table_dir, exist_ok=True)
-        total, per = _bucket_rows(table_dir)
-        lineage.write_manifest(
-            out_dir, t, fp, total, timer.wall, per, extra={"exploded_gens": done}
-        )
+        lineage.write_manifest(out_dir, t, fp, rows[t], timer.wall, extra={"exploded_gens": done})
     return dirs
 
 
@@ -643,8 +585,6 @@ def _graph_driver(
     streams the generation's triples into one file, its batches coalesced
     up to :data:`CANONICAL_BATCH_ROWS` rows.
     Returns the graph manifest's counts."""
-    import shutil
-
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -661,10 +601,7 @@ def _graph_driver(
         if g not in stored or _hits(out_dir, g, map_delta[0])
     ]
     # everything else goes, the flat files a scale-plan build left here too
-    for name in os.listdir(canon_dir) if os.path.isdir(canon_dir) else ():
-        if name not in stored or name in rewrite:
-            p = os.path.join(canon_dir, name)
-            shutil.rmtree(p) if os.path.isdir(p) else os.remove(p)
+    _sweep(canon_dir, set(stored) - set(rewrite))
     bucket = pads.partitioning(pa.schema([("bucket", pa.string())]), flavor="hive")
     for g in rewrite:
         src = os.path.join(out_dir, "triples", g)
@@ -710,8 +647,6 @@ def _graph_join(out_dir: str, graph_gens: dict, nblocks: int) -> dict:
     schema file: Ray 2.49's hash-shuffle join fails on an input with no
     non-empty block (``ArrowInvalid``; it hung while another execution ran
     beside it).  Returns the graph manifest's counts."""
-    import shutil
-
     import pyarrow.dataset as pads
     import ray.data
 
@@ -734,14 +669,16 @@ def _graph_join(out_dir: str, graph_gens: dict, nblocks: int) -> dict:
     surface_map_dir = os.path.join(out_dir, "surface_map")
     nodes_ds = canon_ds = edges_ds = None
     if has_rows("mentions"):
-        mentions = _read_generations(
+        mentions = ray.data.read_parquet(
             os.path.join(out_dir, "mentions"), columns=["type", "surface", "url"],
             override_num_blocks=nblocks,
         )
         nodes_ds = build_nodes_join(mentions, ray.data.read_parquet(surface_map_dir))
     _write_parquet(nodes_ds, nodes_dir, NODES_SCHEMA)
     if has_rows("triples"):
-        triples = _read_generations(os.path.join(out_dir, "triples"), override_num_blocks=nblocks)
+        triples = ray.data.read_parquet(
+            os.path.join(out_dir, "triples"), override_num_blocks=nblocks
+        )
         canon_ds = canonical_triples_join(triples, ray.data.read_parquet(surface_map_dir))
     _write_parquet(canon_ds, canon_dir, CANONICAL_TRIPLES_SCHEMA)
     if canon_ds is not None:
@@ -822,7 +759,7 @@ def run_kg(
     rebuild's."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
+    import ray.data
 
     if gazetteer is None:
         gazetteer = catalog_gazetteer(cached_catalog(seed, n_per_type))
@@ -883,8 +820,6 @@ def run_kg(
     map_delta = None
     with lineage.PhaseTimer() as t_link:
         if relinked:
-            import shutil
-
             delta = _link_delta(link, gens, mentions_dir, index_dir, auto_threshold)
             # drop the manifest BEFORE the artifacts: a crash mid-rebuild
             # must never leave a complete-looking manifest over a partial
@@ -902,7 +837,7 @@ def run_kg(
 
                 # prune at the read: linking consumes only (type, surface)
                 distinct = distinct_surfaces(
-                    _read_generations(
+                    ray.data.read_parquet(
                         mentions_dir, columns=["type", "surface"], override_num_blocks=nblocks
                     )
                 )

@@ -5,8 +5,9 @@ The reference's poor-man's checkpointing is skip-if-cached JSON per document
 (src/cache_data.py:15-16) and inter-phase JSON files (run.py:24-27).  Here
 each phase writes bucket-partitioned Parquet (``bucket = hash(url) % B``,
 content-derived so retries land in the same bucket) plus a ``_lineage``
-manifest recording the input fingerprint, per-bucket row counts, stage
-config and wall time.  Resume logic:
+manifest recording the input fingerprint, the rows the phase wrote, stage
+config and wall time.  Per-bucket ``_COMPLETE`` markers, not row counts,
+decide which buckets resume.  Resume logic:
 
 * manifest present + fingerprint matches  -> phase is complete, skip.
 * manifest absent, some bucket dirs exist -> keep ONLY buckets whose
@@ -100,17 +101,13 @@ def write_manifest(
     fp: str,
     rows: int,
     wall_sec: float,
-    bucket_rows: dict[int, int] | None = None,
     extra: dict | None = None,
 ) -> None:
+    """Write ``phase``'s manifest atomically.  ``rows`` is what the phase's
+    call wrote: a per-page phase counts only its new generation(s), so no
+    manifest write opens a stored generation's file."""
     os.makedirs(os.path.join(out_dir, "_lineage"), exist_ok=True)
-    manifest = {
-        "phase": phase,
-        "fingerprint": fp,
-        "rows": rows,
-        "wall_sec": round(wall_sec, 3),
-        "bucket_rows": {str(k): v for k, v in (bucket_rows or {}).items()},
-    }
+    manifest = {"phase": phase, "fingerprint": fp, "rows": rows, "wall_sec": round(wall_sec, 3)}
     if extra:
         manifest.update(extra)
     tmp = _manifest_file(out_dir, phase) + ".tmp"

@@ -143,6 +143,8 @@ def main() -> None:
     sampler.stop()
     sampler.join()
 
+    # a per-page phase's rows are those of the generations its call wrote:
+    # the whole table here, as resume=False builds one generation
     phases = {}
     for phase in ("annotations", "mentions", "triples", "linking", "graph"):
         m = lineage.load_manifest(out, phase) or {}

@@ -55,34 +55,6 @@ def test_snapshot_delta_append_same_changed():
     assert lineage.snapshot_delta(gens2, grown) == []
 
 
-def test_generation_reads_fetch_footers_without_ray_tasks(tmp_path, monkeypatch):
-    """Two generations of 16 bucket files pass Ray Data's 24-file footer
-    threshold; ``_read_generations`` still reads every footer on the
-    driver (a footer task that waits for a new worker stalls the build)
-    and yields the same rows and row count as ``read_parquet``."""
-    import ray.data
-    from ray.data.datasource import parquet_meta_provider
-
-    from pdf_entity_extraction_ray.pipelines.kg import _read_generations
-
-    for g in range(2):
-        for b in range(16):
-            d = tmp_path / f"g{g}" / f"bucket={b}"
-            d.mkdir(parents=True)
-            pq.write_table(pa.table({"x": [100 * g + b, 100 * g + b + 50]}), d / "part-0.parquet")
-    expected = sorted(r["x"] for r in ray.data.read_parquet(str(tmp_path)).take_all())
-
-    def footer_tasks(*args, **kwargs):
-        raise AssertionError("footers fetched with Ray tasks")
-
-    monkeypatch.setattr(parquet_meta_provider, "_fetch_metadata_parallel", footer_tasks)
-    with pytest.raises(AssertionError, match="Ray tasks"):
-        ray.data.read_parquet(str(tmp_path))  # the default provider takes the task path
-    ds = _read_generations(str(tmp_path), override_num_blocks=4)
-    assert ds.count() == 64
-    assert sorted(r["x"] for r in ds.take_all()) == expected
-
-
 # ------------------------------------------------------------------ e2e
 
 
@@ -99,6 +71,21 @@ def _sorted_table(out, name):
     """A whole output table, rows sorted by every non-list column."""
     t = pads.dataset(f"{out}/{name}", partitioning="hive").to_table()
     return t.sort_by([(f.name, "ascending") for f in t.schema if not pa.types.is_list(f.type)])
+
+
+def _rows(path):
+    return pads.dataset(path, partitioning="hive").count_rows()
+
+
+def _assert_manifest_rows(out, gen=None):
+    """Each per-page manifest's ``rows`` counts the rows its last call
+    wrote: generation ``gen`` of its table, or the whole table; and no
+    manifest keeps per-bucket row counts."""
+    for phase in ("annotations", "mentions", "triples"):
+        table = f"{out}/{phase}" if gen is None else f"{out}/{phase}/{gen}"
+        assert lineage.load_manifest(out, phase)["rows"] == _rows(table) > 0, phase
+    for name in os.listdir(f"{out}/_lineage"):
+        assert "bucket_rows" not in json.load(open(f"{out}/_lineage/{name}")), name
 
 
 def _table_key(out, name, cols):
@@ -123,6 +110,7 @@ def test_incremental_append_tags_only_new_pages(small_corpus, tmp_path_factory):
     run_kg(grow, out, n_buckets=4, concurrency=2)
     man1 = json.load(open(f"{out}/_lineage/annotations.json"))
     assert sorted(man1["generations"]) == ["g0"]
+    _assert_manifest_rows(out)
     before = _relpaths_mtimes(f"{out}/annotations/g0")
     assert before, "g0 must hold the first batch's annotations"
 
@@ -139,6 +127,7 @@ def test_incremental_append_tags_only_new_pages(small_corpus, tmp_path_factory):
     for phase in ("mentions", "triples"):
         m = json.load(open(f"{out}/_lineage/{phase}.json"))
         assert sorted(m["exploded_gens"]) == ["g0", "g1"]
+    _assert_manifest_rows(out, "g1")
 
     # every output, every column == the from-scratch full-corpus run
     for name in ("surface_map", "nodes", "edges", "triples_canonical", "mentions", "triples"):
@@ -386,6 +375,60 @@ def test_two_appends_link_only_their_new_surfaces(tail_parts, tail_full, tmp_pat
     # a rerun with no new pages reuses the linking manifest as it is
     run_kg(pages, out, **_tail_kwargs())
     assert lineage.load_manifest(out, "linking") == link
+
+
+def test_appends_open_no_stored_annotations_or_mentions_file(
+    tail_parts, tail_full, tmp_path_factory
+):
+    """An append reads only its own generation of the per-page tables:
+    with every file of the base's annotations and mentions zeroed (same
+    length, so the snapshot is unchanged), both appends still link as
+    deltas, and with the files restored the outputs equal a full build."""
+    base = str(tmp_path_factory.mktemp("unread_gens"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    _grow(pages, tail_parts[0])
+    run_kg(pages, out, **_tail_kwargs())
+    saved = {}
+    for table in ("annotations", "mentions"):
+        for dp, _dirs, files in os.walk(f"{out}/{table}/g0"):
+            for f in files:
+                if f.endswith(".parquet"):
+                    path = os.path.join(dp, f)
+                    with open(path, "rb") as fh:
+                        saved[path] = fh.read()
+                    with open(path, "wb") as fh:
+                        fh.write(bytes(len(saved[path])))
+    assert saved
+
+    for part in tail_parts[1:]:
+        _grow(pages, part)
+        run_kg(pages, out, **_tail_kwargs())
+        assert lineage.load_manifest(out, "linking")["mode"] == "delta"
+    for path, data in saved.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_builds_pass_no_deprecated_ray_data_argument(tail_parts, tmp_path_factory):
+    """A base build and an append call Ray Data's read API with no
+    deprecated argument.  Only warnings raised in ``read_api.py`` count:
+    Ray's own ``context.py`` deprecations fire in every session."""
+    import warnings
+
+    base = str(tmp_path_factory.mktemp("no_deprecated"))
+    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for part in tail_parts[:2]:
+            _grow(pages, part)
+            run_kg(pages, out, **_tail_kwargs())
+    read_api = os.path.join("ray", "data", "read_api.py")
+    deprecated = [
+        str(w.message) for w in caught
+        if issubclass(w.category, DeprecationWarning) and w.filename.endswith(read_api)
+    ]
+    assert not deprecated
 
 
 def test_crash_before_linking_manifest_relinks_in_full(
