@@ -382,8 +382,8 @@ def test_appends_open_no_stored_annotations_or_mentions_file(
 ):
     """An append reads only its own generation of the per-page tables:
     with every file of the base's annotations and mentions zeroed (same
-    length, so the snapshot is unchanged), both appends still link as
-    deltas, and with the files restored the outputs equal a full build."""
+    length, so only opening one would notice), both appends still link
+    as deltas, and with the files restored the outputs equal a full build."""
     base = str(tmp_path_factory.mktemp("unread_gens"))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
