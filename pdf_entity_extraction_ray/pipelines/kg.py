@@ -1,14 +1,14 @@
 """End-to-end KG-construction pipeline (the flagship).
 
-Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests):
+Phases (each = one lazy Ray Dataset plan, resumable via lineage manifests;
+P2, the explodes, runs inside P1's execution):
 
   P1 annotations : pages -> segments -> one tagging pass (spans, then the
-                   relation patterns) -> nested per-segment annotations
-                   Parquet, one fused Ray task per block
-                   (bucket-partitioned by hash(url))
-  P2 explodes    : annotations -> flat mentions and triples Parquet and
-                   their surface-keyed graph partials, one Ray execution
-                   per generation whose tasks write every file
+                   relation patterns; nested per-segment rows, one fused
+                   Ray task per block) -> sort by bucket (hash(url)) ->
+                   explode tasks that write the flat mentions and triples
+                   Parquet (bucket-partitioned) and their surface-keyed
+                   graph partials: one Ray execution per generation
   P3 linking     : mentions -> distinct surfaces (whose count picks the
                    plan) -> LSH blocks -> pair test -> union-find (label
                    propagation past the threshold) -> surface map (an
@@ -28,13 +28,11 @@ JSON checkpoints; here every inter-phase artifact is Parquet and every
 stage is a streaming Dataset transform.
 
 ``run_kg`` is INCREMENTAL over corpus appends (the Common-Crawl cadence:
-a new snapshot lands as new Parquet files next to the old ones): the
-per-page phases (P1 tagging — the dominant cost — and the P2 explodes)
-record which input files each output GENERATION consumed and process only
-new files into new ``g<k>`` subdirs; P2 reads a new annotations generation
-once and writes both flat tables and both partials from its tasks.  Every
-phase runs its Ray executions one after another, from the driver's one
-thread.  P3 linking records the mentions
+a new snapshot lands as new Parquet files next to the old ones): P1
+records which input files each output GENERATION consumed and tags only
+new files (the dominant cost), writing both flat tables and both partials
+of a new ``g<k>`` from its tasks.  Every phase runs its Ray executions one
+after another, from the driver's one thread.  P3 linking records the
 generations it consumed and keeps its block index (``linking_index/``,
 beside ``surface_map/``); under the driver plan an append block-keys and
 pair-tests only its new surfaces against that index on the driver, with
@@ -72,7 +70,7 @@ from ..stages.graph import build_nodes, canonical_triples, surface_partials, tri
 from ..stages.linking import BlockIndex, block_index, extend_index, link_entities
 from ..state import lineage
 
-CODE_VERSION = 8  # bump to invalidate all phase outputs (v8: graph partials)
+CODE_VERSION = 9  # bump to invalidate all phase outputs (v9: no annotations table)
 
 # P3 picks the scale plan (distributed label propagation, then shuffle-join
 # rewrites) when the distinct (type, surface) universe exceeds this, else
@@ -111,14 +109,6 @@ AUTO_DISTRIBUTED_THRESHOLD = 1_000_000
 CANONICAL_BATCH_ROWS = 65_536
 
 
-def _filter_buckets(batch: pa.Table, wanted: frozenset, n_buckets: int) -> pa.Table:
-    import numpy as np
-
-    buckets = lineage.url_buckets(batch.column("url"), n_buckets)
-    mask = np.isin(buckets, np.fromiter(wanted, dtype=np.int32, count=len(wanted)))
-    return batch.filter(pa.array(mask, pa.bool_()))
-
-
 def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
     """``ds.write_parquet(path)``, or one empty ``schema`` file at ``path``
     when ``ds`` is None or has no rows: Ray 2.49 then writes no file and
@@ -138,9 +128,9 @@ def _gen_index(gen_name: str) -> int:
 
 def _gen_tag(fp: str, gen_name: str, files: list[list]) -> str:
     """Identity of one generation's output: phase config + the exact
-    source files it consumed.  Used both as the per-bucket completion
-    marker inside the generation dir and as the downstream explode's
-    staleness check."""
+    source files it consumed.  Linking and the graph record the tags of
+    the generations they consumed, so a rebuilt generation is never
+    mistaken for the one they read."""
     return lineage.fingerprint({"fp": fp, "gen": gen_name, "files": files})
 
 
@@ -178,181 +168,22 @@ def _stage_batch(batch: pa.Table, spec: _StageSpec, batch_size: int) -> pa.Table
     )
 
 
-def _run_partitioned_phase(
-    *,
-    phase: str,
-    out_dir: str,
-    pages_path: str,
-    fp: str,
-    stage_cls,
-    stage_kwargs: dict,
-    n_buckets: int,
-    concurrency,
-    batch_size: int,
-    resume: bool,
-    override_num_blocks: int | None = None,
-    stage_ray_remote_args: dict | None = None,
-) -> str:
-    """pages -> segments -> stage -> generation/bucket-partitioned Parquet
-    (``<phase>/g<k>/bucket=<b>/``) with per-partition resume AND
-    incremental appends.  Returns the table dir (readers consume the
-    root; the ``g<k>`` level is not a hive key, so reads see only the
-    ``bucket`` column, exactly as before).
-
-    Generations make ``run_kg`` delta-incremental over corpus growth: the
-    manifest records which input files each generation consumed
-    (metadata snapshot, :func:`lineage.input_snapshot`); when the pages
-    dir gains files, only the NEW files flow through the tagger into a
-    new ``g<k>`` dir — the dominant cost (model inference per page) is
-    never re-paid for already-tagged pages.  Any in-place change to a
-    consumed file breaks the append-only assumption and forces a full
-    rebuild.  Within a generation, per-bucket ``_COMPLETE`` markers are
-    stamped after the generation's single write completes, so they
-    resume only the narrow crash window between that write and the
-    manifest write (and drive the unattributable-dir sweep); a crash
-    MID-write re-pays the whole generation — true per-bucket streaming
-    markers would need a custom datasink."""
-    import pyarrow.dataset as pads
-    import ray.data
-
-    table_dir = os.path.join(out_dir, phase)
-    snapshot = lineage.input_snapshot(pages_path)
-    if not snapshot:
-        raise ValueError(
-            f"no parquet input found under {pages_path!r} — "
-            "check the pages path"
-        )
-    manifest = lineage.load_manifest(out_dir, phase) if resume else None
-    if manifest is not None and manifest.get("fingerprint") != fp:
-        manifest = None  # stale config/code
-    if not resume and os.path.isdir(table_dir):
-        lineage.invalidate(out_dir, phase, table_dir)
-    generations: dict = dict(manifest.get("generations", {})) if manifest else {}
-    delta: list | str = snapshot
-    if generations:
-        delta = lineage.snapshot_delta(generations, snapshot)
-        if delta == "changed":  # a consumed input file mutated -> rebuild
-            generations = {}
-    if not generations:
-        # manifest-only invalidation: completed bucket dirs stay on disk —
-        # the per-bucket markers decide what is reusable (a marker only
-        # matches when phase config AND the full source-file list match),
-        # and the gen-dir sweep below drops everything unattributable
-        lineage.invalidate(out_dir, phase)
-        new_files = snapshot
-        gen_id = 0
-    else:
-        if not delta:  # input unchanged -> phase complete
-            return table_dir
-        new_files = delta
-        gen_id = len(generations)
-    gen_name = f"g{gen_id}"
-    gen_dir = os.path.join(table_dir, gen_name)
-    gen_fp = _gen_tag(fp, gen_name, new_files)
-    # drop output this run cannot attribute: ANY entry that is neither a
-    # recorded complete generation nor the one being (re)built —
-    # half-written gens under a LOST manifest, and pre-generation-layout
-    # bucket dirs from older code versions.  Their source files reappear
-    # in new_files, so keeping them would duplicate rows downstream.
-    _sweep(table_dir, {*generations, gen_name})
-    done = lineage.existing_buckets(gen_dir, gen_fp) if resume else set()
-    missing = frozenset(range(n_buckets)) - done
-    # partial writes from a mid-phase crash and stale-fingerprint orphans
-    # must go before recompute — appending into them would duplicate rows
-    lineage.drop_incomplete_buckets(gen_dir, keep=done)
-
-    base = os.path.abspath(pages_path)
-    paths = (
-        [base]
-        if os.path.isfile(base)
-        else [os.path.join(base, rel) for rel, _size in new_files]
-    )
-    with lineage.PhaseTimer() as timer:
-        if missing and paths:
-            import ray
-
-            if override_num_blocks is None:
-                # one extract + tag task per block, and the bucket sort
-                # exchanges between every pair of blocks: 500 pages a block,
-                # at most 6 per CPU (71.6s -> 60.7s at 6/CPU on 1M pages); at
-                # 4 CPUs, 2,000 pages took 2.4s in 24 blocks, 1.4s in 4
-                import pyarrow.parquet as pq
-
-                n_pages = sum(pq.read_metadata(p).num_rows for p in paths)
-                cpus = int(ray.cluster_resources().get("CPU", 16))
-                override_num_blocks = max(1, min(6 * cpus, -(-n_pages // 500)))
-            ds = ray.data.read_parquet(
-                paths,
-                columns=["url", "warc_ts", "html", "lang"],
-                override_num_blocks=override_num_blocks,
-            )
-            if done:  # per-partition resume: recompute only missing buckets
-                ds = ds.map_batches(
-                    _filter_buckets,
-                    fn_kwargs={"wanted": missing, "n_buckets": n_buckets},
-                    batch_format="pyarrow",
-                )
-            ds = ds.map_batches(extract_segments_batch, batch_format="pyarrow")
-            # a task op (fuses with the extract), stage cached per process
-            kwargs = {**stage_kwargs, "n_buckets": n_buckets}
-            ds = ds.map_batches(
-                _stage_batch,
-                fn_kwargs={
-                    "spec": _StageSpec(stage_cls, lineage.fingerprint(kwargs), kwargs),
-                    "batch_size": batch_size,
-                },
-                concurrency=concurrency,
-                batch_size=None,
-                batch_format="pyarrow",
-                # execution-resource pass-through (e.g. num_gpus for a real
-                # transformer tagger) — never fingerprinted: resources
-                # change placement, not output
-                **(stage_ray_remote_args or {}),
-            )
-            # cluster blocks by the partition key before the hive write:
-            # without it every task writes a file per bucket it touches
-            # (blocks x buckets tiny files — measured to poison EVERY
-            # downstream read, even with override_num_blocks); with it the
-            # file count is ~n_buckets, and the explode tasks, which read
-            # this clustering back, write each table's hive files from the
-            # task with no shuffle of their own.  A range
-            # sort on the low-cardinality int32 key, not a hash repartition:
-            # Ray's HASH_SHUFFLE measured 28x slower and livelocked this
-            # phase (BASELINE.md "Bucket clustering A/B").
-            ds.sort("bucket").write_parquet(gen_dir, partition_cols=["bucket"])
-            lineage.mark_buckets_complete(gen_dir, gen_fp)
-
-    generations[gen_name] = {"files": new_files, "tag": gen_fp}
-    # the rows this call's generation holds, from its own footers: the
-    # stored generations' files are never opened (an empty input writes none)
-    rows = pads.dataset(gen_dir, partitioning="hive").count_rows() if os.path.isdir(gen_dir) else 0
-    lineage.write_manifest(
-        out_dir, phase, fp, rows, timer.wall,
-        extra={
-            "recomputed_buckets": sorted(missing),
-            "n_buckets": n_buckets,
-            "generations": generations,
-        },
-    )
-    return table_dir
-
-
-def _partials_dir(out_dir: str, phase: str) -> str:
-    """Where the ``phase`` explode writes its graph partials, one
+def _partials_dir(out_dir: str, table: str) -> str:
+    """Where the ``table`` explode writes its graph partials, one
     ``g<k>`` subdir per generation."""
-    return os.path.join(out_dir, "graph_partials", phase)
+    return os.path.join(out_dir, "graph_partials", table)
 
 
 def _explode_block(batch: pa.Table, explodes: dict, out_dir: str, gen: str) -> pa.Table:
-    """One annotations block -> both flat tables and their graph partials,
-    written from the task.  For each table (``explodes`` maps it to its
-    explode and partial functions) the rows go to
-    ``<table>/<gen>/bucket=<b>/`` with the ``bucket`` column dropped, the
-    hive layout ``Dataset.write_parquet`` writes, and the partials to
-    ``graph_partials/<table>/<gen>/``, so no row passes through the
-    driver.  Every file is named by a hash of the block's first (url,
-    seg_id), which no other block holds, so a retried task rewrites its own
-    files.  Returns the rows written per table."""
+    """One block of tagged segments (the :class:`Annotator`'s nested rows)
+    -> both flat tables and their graph partials, written from the task.
+    For each table (``explodes`` maps it to its explode and partial
+    functions) the rows go to ``<table>/<gen>/bucket=<b>/`` with the
+    ``bucket`` column dropped, the hive layout ``Dataset.write_parquet``
+    writes, and the partials to ``graph_partials/<table>/<gen>/``, so no
+    row passes through the driver.  Every file is named by a hash of the
+    block's first (url, seg_id), which no other block holds, so a retried
+    task rewrites its own files.  Returns the rows written per table."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -377,75 +208,142 @@ def _explode_block(batch: pa.Table, explodes: dict, out_dir: str, gen: str) -> p
     return pa.table(written)
 
 
-def _explode_phase(out_dir: str, annotations_dir: str, base_fp: dict, resume: bool, nblocks: int):
-    """annotations -> the flat ``mentions`` and ``triples`` tables (one
-    whole-phase manifest each; both keep the hive ``bucket``
-    partitioning) and the graph partials of each block under
-    :func:`_partials_dir`, in ONE Ray Data execution per annotations
-    generation: every block is read once, with all its columns, and
-    :func:`_explode_block` writes every file from the task.  The
-    annotations artifact is bucket-clustered on disk, so the hive files
-    need no shuffle; ``nblocks`` sets the read's block count.  Returns the
-    (mentions, triples) table dirs.
+def _annotate_phase(
+    out_dir: str,
+    pages_path: str,
+    fp: str,
+    stage_kwargs: dict,
+    *,
+    n_buckets: int,
+    concurrency,
+    batch_size: int,
+    resume: bool,
+    override_num_blocks: int | None,
+    tagger_ray_remote_args: dict | None,
+) -> dict:
+    """P1: pages -> segments -> :class:`Annotator` -> ``sort("bucket")`` ->
+    :func:`_explode_block`, ONE Ray Data execution per generation.  The
+    tasks after the sort write the flat ``mentions`` and ``triples``
+    tables (``<table>/g<k>/bucket=<b>/``) and their graph partials
+    (:func:`_partials_dir`); the tagger's nested rows exist only as the
+    blocks between.  Returns the recorded generations, name -> tag.
 
-    Mirrors the annotations artifact's GENERATIONS (incremental appends):
-    each annotation gen explodes into its own ``g<k>`` subdir of both
-    tables and both partials, keyed by the upstream gen's ``tag``.  A gen
-    is done only when both manifests record it with its current tag;
-    anything else in a table or partials dir (a mid-explode crash, an
-    upstream rebuild, a pre-generation layout) is dropped and the gen
-    redone for both tables.  Explodes are cheap relative to tagging, so
-    gen (not bucket) is the resume grain here.  Each manifest's ``rows``
-    counts the rows this call wrote, summed from the tasks' returns."""
+    Generations make ``run_kg`` delta-incremental over corpus growth: the
+    ``annotations`` manifest records which input files each generation
+    consumed (metadata snapshot, :func:`lineage.input_snapshot`); when the
+    pages dir gains files, only the NEW files are tagged, into a new
+    ``g<k>`` of every table — the dominant cost (model inference per page)
+    is never re-paid for already-tagged pages.  Any in-place change to a
+    consumed file breaks the append-only assumption and forces a full
+    rebuild.
+
+    The generation is the resume grain: it is done when the manifest
+    records it, and anything else under a table or partials dir is swept
+    before the execution.  A finer grain cannot hold, because one block's
+    partials span several buckets: redoing a bucket would fold its rows
+    twice.  Only a full rebuild drops the manifest first, so a crash
+    mid-append redoes only the new generation.  The manifest's ``rows``
+    and ``triple_rows`` count the mention and triple rows this call wrote,
+    summed from the tasks' returns."""
+    import ray
     import ray.data
 
+    snapshot = lineage.input_snapshot(pages_path)
+    if not snapshot:
+        raise ValueError(
+            f"no parquet input found under {pages_path!r} — "
+            "check the pages path"
+        )
+    manifest = lineage.load_manifest(out_dir, "annotations") if resume else None
+    generations: dict = (
+        manifest["generations"] if manifest and manifest["fingerprint"] == fp else {}
+    )
+    new_files = lineage.snapshot_delta(generations, snapshot)
+    if not generations or new_files == "changed":
+        # a full rebuild (first build, stale config/code or a consumed
+        # input file mutated): the manifest goes before its artifacts
+        lineage.invalidate(out_dir, "annotations")
+        generations, new_files = {}, snapshot
+    elif not new_files:  # input unchanged -> phase complete
+        return {g: gen["tag"] for g, gen in generations.items()}
+    gen = f"g{len(generations)}"
     # looked up at call time: perfbench/tracing.py wraps the explodes by name
     explodes = {
         "mentions": (explode_mentions_batch, surface_partials),
         "triples": (explode_triples_batch, triple_partials),
     }
-    fps = {t: lineage.fingerprint({**base_fp, "phase": t}) for t in explodes}
-    dirs = [os.path.join(out_dir, t) for t in explodes]
-    ann_gens: dict = (lineage.load_manifest(out_dir, "annotations") or {}).get("generations", {})
-    recorded = []
-    for t, fp in fps.items():
-        m = lineage.load_manifest(out_dir, t) if resume else None
-        if not resume:  # the manifest goes before its artifacts (swept below)
-            lineage.invalidate(out_dir, t)
-        recorded.append(m["exploded_gens"] if m is not None and m["fingerprint"] == fp else {})
-    # gen name -> the upstream tag both tables were exploded from
-    done = {
-        g: gen["tag"]
-        for g, gen in ann_gens.items()
-        if all(r.get(g) == gen["tag"] for r in recorded)
-    }
-    todo = [g for g in sorted(ann_gens, key=_gen_index) if g not in done]
-    for root in dirs + [_partials_dir(out_dir, t) for t in explodes]:
-        _sweep(root, done)
-    if not todo and all(r == done for r in recorded):
-        return dirs
-    rows = dict.fromkeys(explodes, 0)
-    with lineage.PhaseTimer() as timer:
-        for g in todo:
-            for t in explodes:
-                os.makedirs(os.path.join(_partials_dir(out_dir, t), g))
-            ds = ray.data.read_parquet(
-                os.path.join(annotations_dir, g), override_num_blocks=nblocks
-            )
-            for written in ds.map_batches(
-                _explode_block,
-                fn_kwargs={"explodes": explodes, "out_dir": out_dir, "gen": g},
-                batch_format="pyarrow",
-            ).iter_rows():
-                for t in explodes:
-                    rows[t] += written[t]
-            done[g] = ann_gens[g]["tag"]
-    for (t, fp), table_dir in zip(fps.items(), dirs):
+    for table in explodes:
+        # drop what no recorded generation owns: a crashed execution's
+        # files and older layouts'.  Their source files are in new_files,
+        # so keeping them would duplicate rows downstream
+        for root in (os.path.join(out_dir, table), _partials_dir(out_dir, table)):
+            _sweep(root, generations)
         # a table with no row yet has no generation dir; run_kg returns its
         # root to readers all the same
-        os.makedirs(table_dir, exist_ok=True)
-        lineage.write_manifest(out_dir, t, fp, rows[t], timer.wall, extra={"exploded_gens": done})
-    return dirs
+        os.makedirs(os.path.join(out_dir, table), exist_ok=True)
+        os.makedirs(os.path.join(_partials_dir(out_dir, table), gen))
+
+    base = os.path.abspath(pages_path)
+    paths = (
+        [base]
+        if os.path.isfile(base)
+        else [os.path.join(base, rel) for rel, _size in new_files]
+    )
+    if override_num_blocks is None:
+        # one extract + tag task per block, and the bucket sort exchanges
+        # between every pair of blocks: 500 pages a block, at most 6 per
+        # CPU (71.6s -> 60.7s at 6/CPU on 1M pages); at 4 CPUs, 2,000
+        # pages took 2.4s in 24 blocks, 1.4s in 4
+        import pyarrow.parquet as pq
+
+        n_pages = sum(pq.read_metadata(p).num_rows for p in paths)
+        cpus = int(ray.cluster_resources().get("CPU", 16))
+        override_num_blocks = max(1, min(6 * cpus, -(-n_pages // 500)))
+    rows = dict.fromkeys(explodes, 0)
+    with lineage.PhaseTimer() as timer:
+        ds = ray.data.read_parquet(
+            paths,
+            columns=["url", "warc_ts", "html", "lang"],
+            override_num_blocks=override_num_blocks,
+        )
+        ds = ds.map_batches(extract_segments_batch, batch_format="pyarrow")
+        # a task op (fuses with the extract), stage cached per process
+        kwargs = {**stage_kwargs, "n_buckets": n_buckets}
+        ds = ds.map_batches(
+            _stage_batch,
+            fn_kwargs={
+                "spec": _StageSpec(Annotator, lineage.fingerprint(kwargs), kwargs),
+                "batch_size": batch_size,
+            },
+            concurrency=concurrency,
+            batch_size=None,
+            batch_format="pyarrow",
+            # execution-resource pass-through (e.g. num_gpus for a real
+            # transformer tagger) — never fingerprinted: resources
+            # change placement, not output
+            **(tagger_ray_remote_args or {}),
+        )
+        # cluster blocks by the partition key before the explode tasks
+        # write: without it every task writes a file per bucket it touches
+        # (blocks x buckets tiny files — measured to poison EVERY
+        # downstream read); with it the file count is ~n_buckets.  A range
+        # sort on the low-cardinality int32 key, not a hash repartition:
+        # Ray's HASH_SHUFFLE measured 28x slower and livelocked this
+        # phase (BASELINE.md "Bucket clustering A/B").
+        ds = ds.sort("bucket").map_batches(
+            _explode_block,
+            fn_kwargs={"explodes": explodes, "out_dir": out_dir, "gen": gen},
+            batch_format="pyarrow",
+        )
+        for written in ds.iter_rows():
+            for table in explodes:
+                rows[table] += written[table]
+    generations[gen] = {"files": new_files, "tag": _gen_tag(fp, gen, new_files)}
+    lineage.write_manifest(
+        out_dir, "annotations", fp, rows["mentions"], timer.wall,
+        extra={"triple_rows": rows["triples"], "n_buckets": n_buckets, "generations": generations},
+    )
+    return {g: v["tag"] for g, v in generations.items()}
 
 
 def _link_delta(
@@ -473,8 +371,8 @@ def _link_delta(
 
     from ..stages.linking import SURFACE_KEYS_SCHEMA
 
-    # a generation that exploded to no rows has no directory (Ray writes
-    # no files for an empty dataset)
+    # a generation that exploded to no rows has no directory (an explode
+    # task writes no file for a table without rows)
     new_dirs = [os.path.join(mentions_dir, g) for g in gens if g not in done]
     new_dirs = [d for d in new_dirs if os.path.isdir(d)]
     seen = pa.concat_tables(
@@ -507,34 +405,31 @@ def _changed_keys(old: pa.Table, new: pa.Table) -> pa.Array:
     return pc.unique(pa.concat_arrays([_surface_keys(gone), _surface_keys(added)]))
 
 
-def _gen_partials(out_dir: str, phase: str, gens: dict, schema: pa.Schema, counts: dict):
-    """The graph partials the ``phase`` explode wrote, one table per
-    generation, read on the driver; adds their rows to ``counts[phase]``."""
+def _gen_partials(out_dir: str, table: str, gens: dict, schema: pa.Schema, counts: dict):
+    """The graph partials the ``table`` explode wrote, one table per
+    generation, read on the driver; adds their rows to ``counts[table]``."""
     import pyarrow.dataset as pads
 
-    counts.setdefault(phase, 0)
+    counts.setdefault(table, 0)
     for g in sorted(gens, key=_gen_index):
-        d = os.path.join(_partials_dir(out_dir, phase), g)
+        d = os.path.join(_partials_dir(out_dir, table), g)
         if os.path.isdir(d):  # a generation without partial rows has no files
             t = pads.dataset(d, schema=schema, format="parquet").to_table()
-            counts[phase] += t.num_rows
+            counts[table] += t.num_rows
             yield t
 
 
-def _stored_canonical(out_dir: str, prev: dict | None, graph_gens: dict, map_delta) -> dict:
+def _stored_canonical(out_dir: str, prev: dict | None, map_delta) -> dict:
     """The canonical-triples generations an append may keep; none (a full
-    P4) unless this call's P3 linked as a delta (``map_delta``), from the
-    map the last graph build used, and every triples generation that
-    build recorded is on disk with its tag."""
+    P4) unless this call's P3 linked as a delta (``map_delta``) from the
+    map the last graph build used, and that build's canonical generations
+    are all on disk.  A delta link already checked that every generation
+    it extends is recorded with its tag."""
     if map_delta is None or prev is None or prev.get("canonical") is None:
         return {}
-    if prev["gens"]["mentions"] != map_delta[1]:
-        return {}
-    kept = prev["gens"]["triples"]
+    kept = prev["gens"]
     canon_dir = os.path.join(out_dir, "triples_canonical")
-    if any(graph_gens["triples"].get(g) != tag for g, tag in kept.items()) or not all(
-        os.path.isdir(os.path.join(canon_dir, g)) for g in kept
-    ):
+    if kept != map_delta[1] or not all(os.path.isdir(os.path.join(canon_dir, g)) for g in kept):
         return {}
     return kept
 
@@ -574,7 +469,7 @@ def _coalesce(batches, rows: int):
 
 
 def _graph_driver(
-    out_dir: str, surface_map: pa.Table, graph_gens: dict, stored: dict, map_delta
+    out_dir: str, surface_map: pa.Table, gens: dict, stored: dict, map_delta
 ) -> dict:
     """The driver plan's P4, with no Ray execution.  Nodes and edges fold
     every generation's graph partials through the surface map.  Canonical
@@ -594,10 +489,9 @@ def _graph_driver(
     )
 
     canon_dir = os.path.join(out_dir, "triples_canonical")
-    t_gens = graph_gens["triples"]
     lookup = map_lookup(surface_map)
     rewrite = [
-        g for g in sorted(t_gens, key=_gen_index)
+        g for g in sorted(gens, key=_gen_index)
         if g not in stored or _hits(out_dir, g, map_delta[0])
     ]
     # everything else goes, the flat files a scale-plan build left here too
@@ -616,11 +510,11 @@ def _graph_driver(
     counts: dict = {}
     tables = {
         "nodes": build_nodes(
-            _gen_partials(out_dir, "mentions", graph_gens["mentions"], SURFACE_PARTIALS_SCHEMA, counts),
+            _gen_partials(out_dir, "mentions", gens, SURFACE_PARTIALS_SCHEMA, counts),
             lookup,
         ),
         "edges": fold_edges(
-            _gen_partials(out_dir, "triples", t_gens, TRIPLE_PARTIALS_SCHEMA, counts), lookup
+            _gen_partials(out_dir, "triples", gens, TRIPLE_PARTIALS_SCHEMA, counts), lookup
         ),
     }
     for name, table in tables.items():
@@ -634,13 +528,13 @@ def _graph_driver(
         "mode": "delta" if stored else "full",
         "canonical": {
             "rewritten": rewrite,
-            "reused": sorted(set(t_gens) - set(rewrite), key=_gen_index),
+            "reused": sorted(set(gens) - set(rewrite), key=_gen_index),
         },
         "partial_rows": {"surfaces": counts["mentions"], "triples": counts["triples"]},
     }
 
 
-def _graph_join(out_dir: str, graph_gens: dict, nblocks: int) -> dict:
+def _graph_join(out_dir: str, gens: dict, nblocks: int) -> dict:
     """The scale plan's P4: nodes and canonical triples by shuffle joins
     against the surface-map Parquet, then edges from the canonical table.
     A join whose input has no row is skipped, and its table is the empty
@@ -655,10 +549,10 @@ def _graph_join(out_dir: str, graph_gens: dict, nblocks: int) -> dict:
         build_nodes_join, canonical_triples_join,
     )
 
-    def has_rows(phase):
+    def has_rows(table):
         # the explodes write a partial file only for a block with rows
-        root = _partials_dir(out_dir, phase)
-        dirs = [os.path.join(root, g) for g in graph_gens[phase]]
+        root = _partials_dir(out_dir, table)
+        dirs = [os.path.join(root, g) for g in gens]
         return any(os.listdir(d) for d in dirs if os.path.isdir(d))
 
     nodes_dir, edges_dir, canon_dir = (
@@ -773,31 +667,24 @@ def run_kg(
         "extra_patterns": sorted(extra_patterns or []),
     }
 
-    # P1: one tagging pass -> nested per-segment annotations (bucketed)
-    annotations_dir = _run_partitioned_phase(
-        phase="annotations",
-        out_dir=out_dir,
-        pages_path=pages_path,
-        fp=lineage.fingerprint({**base_fp, "phase": "annotations"}),
-        stage_cls=Annotator,
-        stage_kwargs={
-            "gazetteer": gazetteer,
-            "use_windows": True,
-            "extra_patterns": extra_patterns,
-        },
+    # P1: one tagging pass, exploded into the flat mentions / triples
+    # tables and their graph partials, one execution per new generation.
+    # ``gens`` maps every recorded generation to its tag
+    gens = _annotate_phase(
+        out_dir,
+        pages_path,
+        lineage.fingerprint({**base_fp, "phase": "annotations"}),
+        {"gazetteer": gazetteer, "use_windows": True, "extra_patterns": extra_patterns},
         n_buckets=n_buckets,
         concurrency=concurrency,
         batch_size=batch_size,
         resume=resume,
         override_num_blocks=override_num_blocks,
-        stage_ray_remote_args=tagger_ray_remote_args,
+        tagger_ray_remote_args=tagger_ray_remote_args,
     )
-
-    # P2: flat mentions / triples tables = cheap explode projections, one
-    # execution per annotations generation.  Every read after tagging
-    # (explodes, linking, graph) takes 2 blocks/CPU
+    mentions_dir, triples_dir = (os.path.join(out_dir, t) for t in ("mentions", "triples"))
+    # every read after tagging (linking, graph) takes 2 blocks/CPU
     nblocks = 2 * int(ray.cluster_resources().get("CPU", 16))
-    mentions_dir, triples_dir = _explode_phase(out_dir, annotations_dir, base_fp, resume, nblocks)
 
     # P3: linking — the surface map is itself a checkpointed Parquet
     # artifact.  The linking manifest records the mentions generations (and
@@ -809,7 +696,6 @@ def run_kg(
     fp_link = lineage.fingerprint({**base_fp, "phase": "linking"})
     surface_map_dir = os.path.join(out_dir, "surface_map")
     index_dir = os.path.join(out_dir, "linking_index")
-    gens = (lineage.load_manifest(out_dir, "mentions") or {}).get("exploded_gens", {})
     surface_map = None  # the Arrow surface map, when it is on the driver
     link = lineage.load_manifest(out_dir, "linking") if resume else None
     if link is not None and link["fingerprint"] != fp_link:
@@ -893,17 +779,13 @@ def run_kg(
     # a graph rebuild over reused linking runs the plan linking recorded
     linking_plan, rewrite_plan = link["plan"]
 
-    # P4: graph.  Its manifest records the mentions and triples
-    # generations it consumed: equal generations reuse it.
+    # P4: graph.  Its manifest records the generations it consumed: equal
+    # generations reuse it.
     fp_graph = lineage.fingerprint({**base_fp, "phase": "graph"})
-    graph_gens = {
-        "mentions": gens,
-        "triples": (lineage.load_manifest(out_dir, "triples") or {}).get("exploded_gens", {}),
-    }
     prev = lineage.load_manifest(out_dir, "graph") if resume else None
     if prev is not None and prev["fingerprint"] != fp_graph:
         prev = None
-    recomputed_graph = prev is None or prev.get("gens") != graph_gens
+    recomputed_graph = prev is None or prev.get("gens") != gens
     with lineage.PhaseTimer() as t_graph:
         if recomputed_graph:
             # drop the manifest BEFORE the artifacts (see the P3 note): a
@@ -911,16 +793,14 @@ def run_kg(
             # manifest over deleted/partial nodes/edges
             lineage.invalidate(out_dir, "graph")
             if rewrite_plan == "join":
-                extra = _graph_join(out_dir, graph_gens, nblocks)
+                extra = _graph_join(out_dir, gens, nblocks)
             else:
                 if surface_map is None:  # linking was reused
                     surface_map = pq.read_table(surface_map_dir)
-                stored = _stored_canonical(out_dir, prev, graph_gens, map_delta)
-                extra = _graph_driver(out_dir, surface_map, graph_gens, stored, map_delta)
+                stored = _stored_canonical(out_dir, prev, map_delta)
+                extra = _graph_driver(out_dir, surface_map, gens, stored, map_delta)
     if recomputed_graph:
-        extra.update(
-            distinct_surfaces=n_surfaces, clusters=link["clusters"], gens=graph_gens
-        )
+        extra.update(distinct_surfaces=n_surfaces, clusters=link["clusters"], gens=gens)
         lineage.write_manifest(
             out_dir, "graph", fp_graph, extra["nodes"] + extra["edges"], t_graph.wall,
             extra=extra,

@@ -2,12 +2,13 @@
 pass.
 
 The tagger is the dominant cost of the pipeline (the reference's model
-inference, SURVEY §6); running it once and materializing a nested
-per-segment row is strictly cheaper than the naive two-phase layout
-(mentions phase + triples phase each re-tagging every segment).  The flat
-``mentions`` / ``triples`` deliverable tables are cheap explode
-projections of this artifact; ``run_kg`` runs both explodes in one task
-per annotations block, which reads the block once and writes both tables
+inference, SURVEY §6); running it once into a nested per-segment row is
+strictly cheaper than the naive two-phase layout (mentions phase + triples
+phase each re-tagging every segment).  The flat ``mentions`` /
+``triples`` deliverable tables are cheap explode projections of these
+rows.  The nested rows are never written: ``run_kg`` sorts the tagged
+blocks by bucket and runs both explodes in the tasks after the sort, in
+the same execution, and each task writes both tables
 (``pipelines.kg._explode_block``).
 
 Per-segment nesting also guarantees a segment's mentions can never split
@@ -154,7 +155,7 @@ def _mention_ids(urls, seg_ids, starts) -> pa.Array:
 
 
 def explode_mentions_batch(batch: pa.Table) -> pa.Table:
-    """annotations -> flat MENTIONS_SCHEMA rows (+ passthrough ``bucket``)."""
+    """Nested rows -> flat MENTIONS_SCHEMA rows (+ passthrough ``bucket``)."""
     import pyarrow.compute as pc
 
     has_bucket = "bucket" in batch.column_names
@@ -184,7 +185,7 @@ def explode_mentions_batch(batch: pa.Table) -> pa.Table:
 
 
 def explode_triples_batch(batch: pa.Table) -> pa.Table:
-    """annotations -> flat TRIPLES_SCHEMA rows (+ passthrough ``bucket``)."""
+    """Nested rows -> flat TRIPLES_SCHEMA rows (+ passthrough ``bucket``)."""
     has_bucket = "bucket" in batch.column_names
     carry = ["url", "seg_id"] + (["bucket"] if has_bucket else [])
     fields, carried = _explode(batch, "triples", carry)

@@ -1,21 +1,20 @@
-"""Per-partition checkpointed lineage (north_rule: "any partition can resume
-without recomputation").
+"""Checkpointed lineage: every phase output resumes at generation grain.
 
 The reference's poor-man's checkpointing is skip-if-cached JSON per document
 (src/cache_data.py:15-16) and inter-phase JSON files (run.py:24-27).  Here
-each phase writes bucket-partitioned Parquet (``bucket = hash(url) % B``,
-content-derived so retries land in the same bucket) plus a ``_lineage``
-manifest recording the input fingerprint, the rows the phase wrote, stage
-config and wall time.  Per-bucket ``_COMPLETE`` markers, not row counts,
-decide which buckets resume.  Resume logic:
+the per-page tables are bucket-partitioned Parquet (``bucket = hash(url) %
+B``, content-derived so retries land in the same bucket), written one
+generation (``g<k>``) per batch of new input files, and each phase writes a
+``_lineage`` manifest recording its fingerprint, the input files of every
+generation, the rows its call wrote, stage config and wall time.  Resume
+logic:
 
-* manifest present + fingerprint matches  -> phase is complete, skip.
-* manifest absent, some bucket dirs exist -> keep ONLY buckets whose
-  per-bucket ``_COMPLETE`` marker carries the current fingerprint (a dir
-  without a marker is a mid-phase partial write; a marker with another
-  fingerprint is a stale-config orphan — both are deleted), recompute the
-  rest, then re-manifest.
-* fingerprint mismatch                    -> stale output, recompute all.
+* manifest present + fingerprint matches -> its generations are complete;
+  only input files no generation consumed are processed, into a new one.
+* anything on disk no manifest records (a crash before the manifest
+  write) is swept and redone with its generation.
+* manifest absent, fingerprint mismatch, or a consumed input file changed
+  -> stale output, recompute all.
 
 Wall-clock timestamps appear in manifests as *metrics*, never as inputs to
 any computation — determinism is preserved.
@@ -26,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 
 # loaded with the module, not on the first url_buckets call: Ray task workers
@@ -46,8 +44,7 @@ def url_buckets(urls, n_buckets: int):
     workers / retries within one polars version; buckets are PHYSICAL
     clustering only (dropped from all outputs), so a hash change merely
     invalidates /tmp phase caches (CODE_VERSION covers that).  Falls back
-    to the blake2b loop when polars is absent — consistent with
-    :func:`url_bucket`, which routes through the same implementation."""
+    to the blake2b loop when polars is absent."""
     import numpy as np
     import pyarrow as pa
 
@@ -66,14 +63,6 @@ def url_buckets(urls, n_buckets: int):
         ],
         dtype=np.int32,
     )
-
-
-def url_bucket(url: str, n_buckets: int) -> int:
-    """Scalar form of :func:`url_buckets` (identical values by
-    construction — it routes through the vectorized implementation)."""
-    import pyarrow as pa
-
-    return int(url_buckets(pa.array([url], pa.string()), n_buckets)[0])
 
 
 def fingerprint(parts: dict) -> str:
@@ -153,73 +142,11 @@ def snapshot_delta(generations: dict, snapshot: list[list]):
     return [[rel, size] for rel, size in snapshot if rel not in known]
 
 
-MARKER = "_COMPLETE"  # underscore prefix: ignored by pyarrow/Ray dataset reads
-
-
-def mark_buckets_complete(table_dir: str, fp: str) -> None:
-    """Stamp every unmarked ``bucket=N`` dir with the phase fingerprint.
-
-    Called only AFTER the phase's write returns: a bucket dir without a
-    marker is by definition partially written (mid-phase crash) and a
-    marker with a different fingerprint is an orphan from an older
-    config — resume must trust neither."""
-    if not os.path.isdir(table_dir):
-        return
-    for name in os.listdir(table_dir):
-        if not name.startswith("bucket="):
-            continue
-        marker = os.path.join(table_dir, name, MARKER)
-        if not os.path.exists(marker):
-            tmp = marker + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(fp)
-            os.replace(tmp, marker)
-
-
-def existing_buckets(table_dir: str, fp: str | None = None) -> set[int]:
-    """Bucket ids safe to SKIP on resume: hive ``bucket=N`` dirs holding
-    data AND a completion marker whose fingerprint matches ``fp``.
-
-    With ``fp=None`` any marker is accepted (back-compat listing)."""
-    found: set[int] = set()
-    if not os.path.isdir(table_dir):
-        return found
-    for name in os.listdir(table_dir):
-        if name.startswith("bucket="):
-            sub = os.path.join(table_dir, name)
-            marker = os.path.join(sub, MARKER)
-            if not (
-                os.path.isdir(sub)
-                and any(f.endswith(".parquet") for f in os.listdir(sub))
-                and os.path.exists(marker)
-            ):
-                continue
-            if fp is not None:
-                with open(marker) as fh:
-                    if fh.read().strip() != fp:
-                        continue
-            found.add(int(name.split("=", 1)[1]))
-    return found
-
-
-def drop_incomplete_buckets(table_dir: str, keep: set[int]) -> None:
-    """Delete every ``bucket=N`` dir not in ``keep`` — partial writes and
-    stale-config orphans.  Without this, recomputation would APPEND files
-    into half-written dirs, duplicating rows."""
-    if not os.path.isdir(table_dir):
-        return
-    for name in os.listdir(table_dir):
-        if name.startswith("bucket=") and int(name.split("=", 1)[1]) not in keep:
-            shutil.rmtree(os.path.join(table_dir, name), ignore_errors=True)
-
-
-def invalidate(out_dir: str, phase: str, table_dir: str | None = None) -> None:
-    """Drop a phase's manifest (and optionally its output) so it recomputes."""
+def invalidate(out_dir: str, phase: str) -> None:
+    """Drop a phase's manifest so it recomputes."""
     path = _manifest_file(out_dir, phase)
     if os.path.exists(path):
         os.remove(path)
-    if table_dir and os.path.isdir(table_dir):
-        shutil.rmtree(table_dir)
 
 
 class PhaseTimer:

@@ -143,12 +143,13 @@ def main() -> None:
     sampler.stop()
     sampler.join()
 
-    # a per-page phase's rows are those of the generations its call wrote:
-    # the whole table here, as resume=False builds one generation
+    # the annotations phase's rows (mentions) and triple_rows are those of
+    # the generation its call wrote: the whole tables here, as
+    # resume=False builds one generation
     phases = {}
-    for phase in ("annotations", "mentions", "triples", "linking", "graph"):
+    for phase in ("annotations", "linking", "graph"):
         m = lineage.load_manifest(out, phase) or {}
-        phases[phase] = {"wall_sec": m.get("wall_sec"), "rows": m.get("rows")}
+        phases[phase] = {k: m[k] for k in ("wall_sec", "rows", "triple_rows") if k in m}
 
     result = {
         "pages": args.pages,

@@ -170,23 +170,24 @@ def test_nodes_never_invent_surfaces(kg_result):
             assert canon in aliases
 
 
-def test_annotations_file_count_bounded(kg_result):
-    """The pre-write bucket clustering (kg.py: sort("bucket"), chosen over
-    HASH_SHUFFLE repartition — see the A/B in BASELINE.md) must keep the
-    hive layout at ~one file per bucket; without it every write task emits
-    a file per bucket it touches (blocks x buckets tiny files, measured to
-    poison every downstream read)."""
-    import os
-
-    _, out, _ = kg_result
-    n_buckets = 4  # kg_result fixture config
-    n_files = sum(
-        1
-        for _root, _dirs, files in os.walk(f"{out}/annotations")
-        for f in files
-        if f.endswith(".parquet")
-    )
-    assert 0 < n_files <= 2 * n_buckets
+def test_annotations_file_count_bounded(small_corpus, tmp_path):
+    """The bucket clustering before the explode tasks (kg.py:
+    sort("bucket"), chosen over HASH_SHUFFLE repartition — see the A/B in
+    BASELINE.md) must keep each hive table at ~one file per bucket; without
+    it every task writes a file per bucket it touches (blocks x buckets
+    tiny files, measured to poison every downstream read).  Six blocks, so
+    a missing sort shows: 4 files a table with it, 32 without."""
+    n_buckets = 4
+    run_kg(f"{small_corpus}/pages", str(tmp_path), n_buckets=n_buckets, concurrency=2,
+           override_num_blocks=6)
+    for table in ("mentions", "triples"):
+        n_files = sum(
+            1
+            for _root, _dirs, files in os.walk(f"{tmp_path}/{table}")
+            for f in files
+            if f.endswith(".parquet")
+        )
+        assert 0 < n_files <= 2 * n_buckets, table
 
 
 def test_edges_reference_existing_nodes(kg_result):
@@ -243,41 +244,33 @@ def test_pagerank_ppm_matches_reference_formulation(kg_result):
     assert gold.column_names == ["node", "rank_ppm"] and gold.num_rows > 0
 
 
-def test_resume_recomputes_only_missing_bucket(kg_result):
+def test_resume_redoes_the_generation_without_loss_or_duplication(kg_result):
+    """A generation is done only when the annotations manifest records it.
+    With the manifest lost, a bucket dir deleted (a crash mid-write) and a
+    stray file planted (a block split the rerun will not repeat), the
+    rerun sweeps the generation and redoes it: every row once, none lost."""
     corpus, out, _ = kg_result
-    before = pads.dataset(f"{out}/mentions", partitioning="hive").to_table()
+
+    def key(table, cols):
+        t = pads.dataset(f"{out}/{table}", partitioning="hive").to_table()
+        return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
+
+    mention_cols = ["mention_id", "url"]
+    triple_cols = ["url", "seg_id", "subj", "pred", "obj", "evidence_start"]
+    before = key("mentions", mention_cols), key("triples", triple_cols)
     os.remove(f"{out}/_lineage/annotations.json")
-    shutil.rmtree(f"{out}/annotations/g0/bucket=1")
+    shutil.rmtree(f"{out}/mentions/g0/bucket=1")
+    bucket_dir = f"{out}/mentions/g0/bucket=2"
+    stray = os.path.join(bucket_dir, "0123456789abcdef-0.parquet")
+    shutil.copy(os.path.join(bucket_dir, sorted(os.listdir(bucket_dir))[0]), stray)
     run_kg(f"{corpus}/pages", out, n_buckets=4, concurrency=2)
     manifest = json.load(open(f"{out}/_lineage/annotations.json"))
-    assert manifest["recomputed_buckets"] == [1]
-    after = pads.dataset(f"{out}/mentions", partitioning="hive").to_table()
-    key = lambda t: sorted(
-        zip(t.column("mention_id").to_pylist(), t.column("url").to_pylist())
-    )
-    assert key(before) == key(after)
-
-
-def test_resume_discards_partial_and_stale_buckets(kg_result):
-    """A bucket dir without a completion marker (mid-phase crash) or with a
-    stale-fingerprint marker (older config) must be recomputed, not
-    silently trusted — and recompute must not append-duplicate rows."""
-    corpus, out, _ = kg_result
-    before = pads.dataset(f"{out}/mentions", partitioning="hive").to_table()
-    os.remove(f"{out}/_lineage/annotations.json")
-    # simulate a crash mid-write of bucket 2: data present, no marker
-    os.remove(f"{out}/annotations/g0/bucket=2/_COMPLETE")
-    # simulate an orphan from an older config in bucket 3
-    with open(f"{out}/annotations/g0/bucket=3/_COMPLETE", "w") as f:
-        f.write("stale-fingerprint")
-    run_kg(f"{corpus}/pages", out, n_buckets=4, concurrency=2)
-    manifest = json.load(open(f"{out}/_lineage/annotations.json"))
-    assert sorted(manifest["recomputed_buckets"]) == [2, 3]
-    after = pads.dataset(f"{out}/mentions", partitioning="hive").to_table()
-    key = lambda t: sorted(
-        zip(t.column("mention_id").to_pylist(), t.column("url").to_pylist())
-    )
-    assert key(before) == key(after)  # no loss, no duplication
+    assert sorted(manifest["generations"]) == ["g0"]
+    assert not os.path.exists(stray)
+    assert os.path.isdir(f"{out}/mentions/g0/bucket=1")
+    after = key("mentions", mention_cols), key("triples", triple_cols)
+    assert manifest["rows"] == len(after[0]) and manifest["triple_rows"] == len(after[1])
+    assert after == before  # no loss, no duplication
 
 
 def test_determinism_across_parallelism(small_corpus, tmp_path_factory):

@@ -78,14 +78,29 @@ def _rows(path):
 
 
 def _assert_manifest_rows(out, gen=None):
-    """Each per-page manifest's ``rows`` counts the rows its last call
-    wrote: generation ``gen`` of its table, or the whole table; and no
-    manifest keeps per-bucket row counts."""
-    for phase in ("annotations", "mentions", "triples"):
-        table = f"{out}/{phase}" if gen is None else f"{out}/{phase}/{gen}"
-        assert lineage.load_manifest(out, phase)["rows"] == _rows(table) > 0, phase
+    """The annotations manifest's ``rows`` and ``triple_rows`` count the
+    mention and triple rows its last call wrote: generation ``gen`` of
+    each table, or the whole table.  No manifest keeps per-bucket row
+    counts, and only the three phases keep one."""
+    manifest = lineage.load_manifest(out, "annotations")
+    for table, field in (("mentions", "rows"), ("triples", "triple_rows")):
+        path = f"{out}/{table}" if gen is None else f"{out}/{table}/{gen}"
+        assert manifest[field] == _rows(path) > 0, table
+    assert sorted(os.listdir(f"{out}/_lineage")) == [
+        "annotations.json", "graph.json", "linking.json"
+    ]
     for name in os.listdir(f"{out}/_lineage"):
         assert "bucket_rows" not in json.load(open(f"{out}/_lineage/{name}")), name
+
+
+def _gen_files(out, gen):
+    """Every table and partial file of generation ``gen``, with its mtime."""
+    roots = ("mentions", "triples", "graph_partials/mentions", "graph_partials/triples")
+    return {
+        f"{root}/{rel}": mtime
+        for root in roots
+        for rel, mtime in _relpaths_mtimes(f"{out}/{root}/{gen}").items()
+    }
 
 
 def _table_key(out, name, cols):
@@ -111,8 +126,9 @@ def test_incremental_append_tags_only_new_pages(small_corpus, tmp_path_factory):
     man1 = json.load(open(f"{out}/_lineage/annotations.json"))
     assert sorted(man1["generations"]) == ["g0"]
     _assert_manifest_rows(out)
-    before = _relpaths_mtimes(f"{out}/annotations/g0")
-    assert before, "g0 must hold the first batch's annotations"
+    assert not os.path.exists(f"{out}/annotations")
+    before = _gen_files(out, "g0")
+    assert before, "g0 must hold the first batch's rows"
 
     # the append: new files land next to the old ones
     for f in files[k:]:
@@ -122,11 +138,10 @@ def test_incremental_append_tags_only_new_pages(small_corpus, tmp_path_factory):
     assert sorted(man2["generations"]) == ["g0", "g1"]
     assert sorted(r for r, _ in man2["generations"]["g1"]["files"]) == sorted(files[k:])
     # the first generation was not re-tagged: every file byte-untouched
-    assert _relpaths_mtimes(f"{out}/annotations/g0") == before
-    # explodes mirrored the generations
-    for phase in ("mentions", "triples"):
-        m = json.load(open(f"{out}/_lineage/{phase}.json"))
-        assert sorted(m["exploded_gens"]) == ["g0", "g1"]
+    assert _gen_files(out, "g0") == before
+    # every table and partials dir holds one dir per generation
+    for root in ("mentions", "triples", "graph_partials/mentions", "graph_partials/triples"):
+        assert sorted(os.listdir(f"{out}/{root}")) == ["g0", "g1"], root
     _assert_manifest_rows(out, "g1")
 
     # every output, every column == the from-scratch full-corpus run
@@ -144,7 +159,7 @@ def test_incremental_append_tags_only_new_pages(small_corpus, tmp_path_factory):
 def test_unattributable_dirs_swept_on_resume(small_corpus, tmp_path_factory):
     """Pre-generation-layout bucket dirs (older code versions) and stray
     content under a lost manifest must be dropped, not double-counted —
-    the migration bug class: a legacy ``annotations/bucket=N`` next to the
+    the migration bug class: a legacy ``mentions/bucket=N`` next to the
     new ``g0`` would silently double every downstream row."""
     base = str(tmp_path_factory.mktemp("sweep"))
     pages = f"{small_corpus}/pages"
@@ -153,18 +168,16 @@ def test_unattributable_dirs_swept_on_resume(small_corpus, tmp_path_factory):
     want = _table_key(out, "mentions", ["url", "seg_id", "text", "type", "start", "end"])
 
     # plant a legacy-layout orphan holding real rows, then lose the manifest
-    legacy = f"{out}/annotations/bucket=7"
+    legacy = f"{out}/mentions/bucket=7"
     os.makedirs(legacy)
     src = next(
         os.path.join(dp, f)
-        for dp, _d, fs in os.walk(f"{out}/annotations/g0")
+        for dp, _d, fs in os.walk(f"{out}/mentions/g0")
         for f in fs
         if f.endswith(".parquet")
     )
     shutil.copyfile(src, os.path.join(legacy, "data.parquet"))
     os.remove(f"{out}/_lineage/annotations.json")
-    for phase in ("mentions", "triples"):
-        os.remove(f"{out}/_lineage/{phase}.json")
 
     run_kg(pages, out, n_buckets=4, concurrency=2)
     assert not os.path.exists(legacy)
@@ -196,18 +209,14 @@ def test_inplace_mutation_forces_full_rebuild(small_corpus, tmp_path_factory):
     run_kg(grow, out, n_buckets=4, concurrency=2)
     man = json.load(open(f"{out}/_lineage/annotations.json"))
     assert sorted(man["generations"]) == ["g0"]
-    assert sorted(man["recomputed_buckets"]) == [0, 1, 2, 3]
-    # row count reflects the shrunken corpus, not a stale or doubled one
-    n_pages = len(
-        set(pads.dataset(grow).to_table(columns=["url"]).column("url").to_pylist())
+    assert man["generations"]["g0"]["files"] == lineage.input_snapshot(grow)
+    # the rows reflect the shrunken corpus, not a stale or doubled one
+    pages = set(pads.dataset(grow).to_table(columns=["url"]).column("url").to_pylist())
+    mentions = pads.dataset(f"{out}/mentions", partitioning="hive").to_table(
+        columns=["url", "mention_id"]
     )
-    got_urls = set(
-        pads.dataset(f"{out}/annotations", partitioning="hive")
-        .to_table(columns=["url"])
-        .column("url")
-        .to_pylist()
-    )
-    assert len(got_urls) == n_pages
+    assert mentions.num_rows and set(mentions.column("url").to_pylist()) <= pages
+    assert len(set(mentions.column("mention_id").to_pylist())) == mentions.num_rows == man["rows"]
 
 
 def test_rebuild_invalidates_manifests_before_destroying_artifacts(
@@ -380,24 +389,25 @@ def test_two_appends_link_only_their_new_surfaces(tail_parts, tail_full, tmp_pat
 def test_appends_open_no_stored_annotations_or_mentions_file(
     tail_parts, tail_full, tmp_path_factory
 ):
-    """An append reads only its own generation of the per-page tables:
-    with every file of the base's annotations and mentions zeroed (same
-    length, so only opening one would notice), both appends still link
-    as deltas, and with the files restored the outputs equal a full build."""
+    """An append reads only its own generation of the mentions table:
+    with every file of the base's mentions zeroed (same length, so only
+    opening one would notice), both appends still link as deltas, and with
+    the files restored the outputs equal a full build.  No build writes an
+    annotations table."""
     base = str(tmp_path_factory.mktemp("unread_gens"))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
     run_kg(pages, out, **_tail_kwargs())
+    assert not os.path.exists(f"{out}/annotations")
     saved = {}
-    for table in ("annotations", "mentions"):
-        for dp, _dirs, files in os.walk(f"{out}/{table}/g0"):
-            for f in files:
-                if f.endswith(".parquet"):
-                    path = os.path.join(dp, f)
-                    with open(path, "rb") as fh:
-                        saved[path] = fh.read()
-                    with open(path, "wb") as fh:
-                        fh.write(bytes(len(saved[path])))
+    for dp, _dirs, files in os.walk(f"{out}/mentions/g0"):
+        for f in files:
+            if f.endswith(".parquet"):
+                path = os.path.join(dp, f)
+                with open(path, "rb") as fh:
+                    saved[path] = fh.read()
+                with open(path, "wb") as fh:
+                    fh.write(bytes(len(saved[path])))
     assert saved
 
     for part in tail_parts[1:]:
@@ -592,10 +602,10 @@ def test_two_appends_fold_the_graph_on_the_driver_and_report_it(
         gens = [f"g{i}" for i in range(k + 1)]
         assert graph["mode"] == "delta"
         assert graph["gens"] == {
-            phase: lineage.load_manifest(out, phase)["exploded_gens"]
-            for phase in ("mentions", "triples")
+            g: gen["tag"]
+            for g, gen in lineage.load_manifest(out, "annotations")["generations"].items()
         }
-        assert sorted(graph["gens"]["mentions"]) == gens
+        assert sorted(graph["gens"]) == gens
         rewritten, reused = graph["canonical"]["rewritten"], graph["canonical"]["reused"]
         assert rewritten[-1] == f"g{k}" and sorted(rewritten[:-1] + reused) == old
         for g in reused:
@@ -652,17 +662,17 @@ def test_delta_graph_runs_no_ray_execution(tail_parts, tail_full, tmp_path_facto
     assert graph["mode"] == "full" and graph["canonical"]["reused"] == []
     _assert_equal_outputs(out, tail_full)
 
-    # a full relink fails it.  The guard is armed with the explodes'
-    # manifests in place, which the rerun reuses without a write, so the
+    # a full relink fails it.  The guard is armed with the annotations
+    # manifest in place, which the rerun reuses without a write, so the
     # Ray use it meets is the relink's
     os.remove(f"{out}/_lineage/linking.json")
-    explodes = {phase: lineage.load_manifest(out, phase) for phase in ("mentions", "triples")}
+    annotations = lineage.load_manifest(out, "annotations")
     monkeypatch.setattr(StreamingExecutor, "execute", boom)
     with pytest.raises(AssertionError, match="Ray used"):
         run_kg(pages, out, **_tail_kwargs())
     monkeypatch.undo()
     assert lineage.load_manifest(out, "linking") is None
-    assert {phase: lineage.load_manifest(out, phase) for phase in explodes} == explodes
+    assert lineage.load_manifest(out, "annotations") == annotations
 
 
 def test_driver_plan_relinks_a_scale_plan_build(tail_parts, tail_full, tmp_path_factory):
@@ -849,14 +859,16 @@ def test_crash_before_graph_manifest_resumes_to_a_clean_build(
     _assert_equal_outputs(out, tail_full)
 
 
-def test_crashed_explode_leaves_no_partial_file_behind(
+def test_crash_at_the_annotations_manifest_redoes_only_the_new_generation(
     tail_parts, tail_full, tmp_path_factory, monkeypatch
 ):
-    """An explode that crashed before its manifest leaves the table and
-    partial files of an unrecorded generation, here including ones from a
-    block split the rerun will not repeat.  The rerun sweeps them, so no
-    row is read or folded twice."""
-    base = str(tmp_path_factory.mktemp("explode_crash"))
+    """An append that crashed at its annotations manifest write, after the
+    execution wrote the new generation's table and partial files, leaves
+    the manifest recording only the earlier generation.  Strays planted in
+    the new generation stand for files of a block split the rerun will not
+    repeat.  The resume keeps every file of ``g0``, sweeps and rewrites
+    ``g1``'s, folds no row twice, and every column equals a clean build's."""
+    base = str(tmp_path_factory.mktemp("annotate_crash"))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
     run_kg(pages, out, **_tail_kwargs())
@@ -864,17 +876,17 @@ def test_crashed_explode_leaves_no_partial_file_behind(
     _grow(pages, tail_parts[2])
     real = lineage.write_manifest
 
-    def crash_on_mentions(out_dir, phase, *a, **kw):
-        if phase == "mentions":
-            raise RuntimeError("crash before the mentions manifest")
+    def crash_on_annotations(out_dir, phase, *a, **kw):
+        if phase == "annotations":
+            raise RuntimeError("crash before the annotations manifest")
         return real(out_dir, phase, *a, **kw)
 
-    monkeypatch.setattr(lineage, "write_manifest", crash_on_mentions)
+    monkeypatch.setattr(lineage, "write_manifest", crash_on_annotations)
     with pytest.raises(RuntimeError, match="crash before"):
         run_kg(pages, out, **_tail_kwargs())
     monkeypatch.setattr(lineage, "write_manifest", real)
+    assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0"]
     gen_dir = f"{out}/graph_partials/mentions/g1"
-    assert sorted(lineage.load_manifest(out, "mentions")["exploded_gens"]) == ["g0"]
     left = sorted(os.listdir(gen_dir))
     assert left
     stray = os.path.join(gen_dir, "0123456789abcdef.parquet")
@@ -883,27 +895,37 @@ def test_crashed_explode_leaves_no_partial_file_behind(
     assert os.path.basename(bucket_dir).startswith("bucket=")
     table_stray = os.path.join(bucket_dir, "0123456789abcdef-0.parquet")
     shutil.copy(os.path.join(bucket_dir, sorted(os.listdir(bucket_dir))[0]), table_stray)
+    g0, g1 = _gen_files(out, "g0"), _gen_files(out, "g1")
 
     run_kg(pages, out, **_tail_kwargs())
-    assert not os.path.exists(stray)
-    assert not os.path.exists(table_stray)
-    for phase in ("mentions", "triples"):
-        recorded = lineage.load_manifest(out, phase)["exploded_gens"]
-        assert sorted(os.listdir(f"{out}/graph_partials/{phase}")) == sorted(recorded)
+    assert not os.path.exists(stray) and not os.path.exists(table_stray)
+    assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0", "g1"]
+    assert _gen_files(out, "g0") == g0
+    redone = _gen_files(out, "g1")
+    assert redone and min(redone.values()) > max(g1.values())
+    for root in ("mentions", "triples", "graph_partials/mentions", "graph_partials/triples"):
+        assert sorted(os.listdir(f"{out}/{root}")) == ["g0", "g1"], root
+    for table in ("mentions", "triples"):
+        got, want = _sorted_table(out, table), _sorted_table(tail_full, table)
+        assert got.num_rows and got.equals(want), table
+    graph = lineage.load_manifest(out, "graph")
+    assert graph["partial_rows"] == {
+        "surfaces": _partial_rows(out, "mentions"), "triples": _partial_rows(out, "triples"),
+    }
     _assert_equal_outputs(out, tail_full)
 
 
-def test_append_explodes_its_generation_in_one_execution_and_one_read(
+def test_append_tags_and_explodes_in_one_execution_and_one_read(
     tail_parts, tmp_path_factory, monkeypatch
 ):
-    """Between the annotations manifest and the mentions manifest, an
-    append starts one Ray Data execution and reads its new annotations
-    generation once; that execution writes both flat tables and both
-    partials of the generation."""
+    """Before its linking manifest, an append starts one Ray Data
+    execution, which reads only the new pages file: it tags the pages and
+    writes both flat tables and both partials of the generation.  (The
+    delta link after it starts none.)"""
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    base = str(tmp_path_factory.mktemp("one_explode"))
+    base = str(tmp_path_factory.mktemp("one_execution"))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
     run_kg(pages, out, **_tail_kwargs())
@@ -914,20 +936,17 @@ def test_append_explodes_its_generation_in_one_execution_and_one_read(
         lineage.write_manifest, StreamingExecutor.execute, ray.data.read_parquet
     )
 
-    def in_explodes():
-        return "annotations" in written and "mentions" not in written
-
     def write(out_dir, phase, *a, **kw):
         written.append(phase)
         return real_write(out_dir, phase, *a, **kw)
 
     def execute(self, *a, **kw):
-        if in_explodes():
+        if "linking" not in written:
             executions.append(1)
         return real_execute(self, *a, **kw)
 
     def read(paths, *a, **kw):
-        if in_explodes():
+        if "linking" not in written:
             reads.append(paths)
         return real_read(paths, *a, **kw)
 
@@ -936,59 +955,13 @@ def test_append_explodes_its_generation_in_one_execution_and_one_read(
     monkeypatch.setattr(ray.data, "read_parquet", read)
     run_kg(pages, out, **_tail_kwargs())
     monkeypatch.undo()
-    assert written[:3] == ["annotations", "mentions", "triples"]
-    assert len(executions) == 1 and reads == [os.path.join(out, "annotations", "g1")]
-    for phase in ("mentions", "triples"):
-        assert sorted(lineage.load_manifest(out, phase)["exploded_gens"]) == ["g0", "g1"]
-        assert os.listdir(f"{out}/{phase}/g1") and os.listdir(f"{out}/graph_partials/{phase}/g1")
-
-
-def test_crash_between_the_explode_manifests_redoes_the_generation(
-    tail_parts, tail_full, tmp_path_factory, monkeypatch
-):
-    """A crash after the mentions manifest and before the triples manifest
-    leaves the append's generation recorded for one table only.  The
-    resume redoes it for both: it rewrites the same table and partial
-    files, none twice, keeps the earlier generation's, and every column
-    equals a clean build's."""
-    base = str(tmp_path_factory.mktemp("explode_manifest_crash"))
-    pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
-    _grow(pages, tail_parts[0])
-    run_kg(pages, out, **_tail_kwargs())
-    _grow(pages, tail_parts[1])
-    _grow(pages, tail_parts[2])
-    real = lineage.write_manifest
-
-    def crash_on_triples(out_dir, phase, *a, **kw):
-        if phase == "triples":
-            raise RuntimeError("crash before the triples manifest")
-        return real(out_dir, phase, *a, **kw)
-
-    monkeypatch.setattr(lineage, "write_manifest", crash_on_triples)
-    with pytest.raises(RuntimeError, match="crash before"):
-        run_kg(pages, out, **_tail_kwargs())
-    monkeypatch.setattr(lineage, "write_manifest", real)
-    assert sorted(lineage.load_manifest(out, "mentions")["exploded_gens"]) == ["g0", "g1"]
-    assert sorted(lineage.load_manifest(out, "triples")["exploded_gens"]) == ["g0"]
-    roots = ("mentions", "triples", "graph_partials")
-    before = {r: _relpaths_mtimes(f"{out}/{r}") for r in roots}
-
-    run_kg(pages, out, **_tail_kwargs())
-    for r in roots:
-        after = _relpaths_mtimes(f"{out}/{r}")
-        assert sorted(after) == sorted(before[r]), r
-        for rel, mtime in after.items():
-            redone = f"g1{os.sep}" in rel
-            assert (mtime > before[r][rel]) if redone else (mtime == before[r][rel]), rel
-    for phase in ("mentions", "triples"):
-        assert sorted(lineage.load_manifest(out, phase)["exploded_gens"]) == ["g0", "g1"]
-        got, want = _sorted_table(out, phase), _sorted_table(tail_full, phase)
-        assert got.num_rows and got.equals(want), phase
-    graph = lineage.load_manifest(out, "graph")
-    assert graph["partial_rows"] == {
-        "surfaces": _partial_rows(out, "mentions"), "triples": _partial_rows(out, "triples"),
-    }
-    _assert_equal_outputs(out, tail_full)
+    assert written[:2] == ["annotations", "linking"]
+    assert lineage.load_manifest(out, "linking")["mode"] == "delta"
+    new_file = os.path.join(os.path.abspath(pages), os.path.basename(tail_parts[1]))
+    assert len(executions) == 1 and reads == [[new_file]]
+    assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0", "g1"]
+    for table in ("mentions", "triples"):
+        assert os.listdir(f"{out}/{table}/g1") and os.listdir(f"{out}/graph_partials/{table}/g1")
 
 
 def _sorted_file(path):

@@ -95,18 +95,17 @@ def test_tagging_is_a_task_op_with_passthrough(small_corpus, tmp_path, monkeypat
         return real(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
-    kg._run_partitioned_phase(
-        phase="annotations",
-        out_dir=str(tmp_path),
-        pages_path=f"{small_corpus}/pages",
-        fp="test",
-        stage_cls=kg.Annotator,
-        stage_kwargs={"gazetteer": [("Acme", "ORG")]},
+    gens = kg._annotate_phase(
+        str(tmp_path),
+        f"{small_corpus}/pages",
+        "test",
+        {"gazetteer": [("Acme", "ORG")]},
         n_buckets=2,
         concurrency=3,
         batch_size=64,
         resume=False,
-        stage_ray_remote_args={"num_cpus": 1, "memory": 256 * 1024 * 1024},
+        override_num_blocks=None,
+        tagger_ray_remote_args={"num_cpus": 1, "memory": 256 * 1024 * 1024},
     )
     (fn, kwargs), = [(f, k) for f, k in calls if f is kg._stage_batch]
     assert not isinstance(fn, type)
@@ -115,7 +114,12 @@ def test_tagging_is_a_task_op_with_passthrough(small_corpus, tmp_path, monkeypat
     assert kwargs["num_cpus"] == 1 and kwargs["memory"] == 256 * 1024 * 1024
     assert kwargs["fn_kwargs"]["batch_size"] == 64
     assert kwargs["fn_kwargs"]["spec"].stage_cls is kg.Annotator
-    assert pads.dataset(f"{tmp_path}/annotations", partitioning="hive").count_rows() > 0
+    # the explode op after the sort gets neither
+    (_, explode_kwargs), = [(f, k) for f, k in calls if f is kg._explode_block]
+    assert "concurrency" not in explode_kwargs and "num_cpus" not in explode_kwargs
+    assert list(gens) == ["g0"]
+    rows = pads.dataset(f"{tmp_path}/mentions", partitioning="hive").count_rows()
+    assert rows == kg.lineage.load_manifest(str(tmp_path), "annotations")["rows"] > 0
 
 
 def _rows(table_dir):
