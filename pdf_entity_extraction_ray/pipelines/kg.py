@@ -265,7 +265,7 @@ def _annotate_phase(
         lineage.invalidate(out_dir, "annotations")
         generations, new_files = {}, snapshot
     elif not new_files:  # input unchanged -> phase complete
-        return {g: gen["tag"] for g, gen in generations.items()}
+        return {g: rec["tag"] for g, rec in generations.items()}
     gen = f"g{len(generations)}"
     # looked up at call time: perfbench/tracing.py wraps the explodes by name
     explodes = {
@@ -343,7 +343,7 @@ def _annotate_phase(
         out_dir, "annotations", fp, rows["mentions"], timer.wall,
         extra={"triple_rows": rows["triples"], "n_buckets": n_buckets, "generations": generations},
     )
-    return {g: v["tag"] for g, v in generations.items()}
+    return {g: rec["tag"] for g, rec in generations.items()}
 
 
 def _link_delta(

@@ -955,10 +955,10 @@ def test_append_tags_and_explodes_in_one_execution_and_one_read(
     monkeypatch.setattr(ray.data, "read_parquet", read)
     run_kg(pages, out, **_tail_kwargs())
     monkeypatch.undo()
-    assert written[:2] == ["annotations", "linking"]
-    assert lineage.load_manifest(out, "linking")["mode"] == "delta"
     new_file = os.path.join(os.path.abspath(pages), os.path.basename(tail_parts[1]))
     assert len(executions) == 1 and reads == [[new_file]]
+    assert written[:2] == ["annotations", "linking"]
+    assert lineage.load_manifest(out, "linking")["mode"] == "delta"
     assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0", "g1"]
     for table in ("mentions", "triples"):
         assert os.listdir(f"{out}/{table}/g1") and os.listdir(f"{out}/graph_partials/{table}/g1")
