@@ -244,31 +244,57 @@ def test_pagerank_ppm_matches_reference_formulation(kg_result):
     assert gold.column_names == ["node", "rank_ppm"] and gold.num_rows > 0
 
 
-def test_resume_redoes_the_generation_without_loss_or_duplication(kg_result):
-    """A generation is done only when the annotations manifest records it.
-    With the manifest lost, a bucket dir deleted (a crash mid-write) and a
-    stray file planted (a block split the rerun will not repeat), the
-    rerun sweeps the generation and redoes it: every row once, none lost."""
-    corpus, out, _ = kg_result
-
+def _mention_and_triple_keys(out):
     def key(table, cols):
         t = pads.dataset(f"{out}/{table}", partitioning="hive").to_table()
         return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
 
-    mention_cols = ["mention_id", "url"]
-    triple_cols = ["url", "seg_id", "subj", "pred", "obj", "evidence_start"]
-    before = key("mentions", mention_cols), key("triples", triple_cols)
+    return (
+        key("mentions", ["mention_id", "url"]),
+        key("triples", ["url", "seg_id", "subj", "pred", "obj", "evidence_start"]),
+    )
+
+
+def test_resume_recomputes_only_missing_bucket(kg_result):
+    """A generation is done only when the annotations manifest records it,
+    so the generation is the resume grain: with the manifest lost and a
+    bucket dir deleted (a crash mid-write), the rerun redoes the one
+    generation, writes the missing bucket again, and loses and duplicates
+    no row."""
+    corpus, out, _ = kg_result
+    before = _mention_and_triple_keys(out)
     os.remove(f"{out}/_lineage/annotations.json")
     shutil.rmtree(f"{out}/mentions/g0/bucket=1")
+    run_kg(f"{corpus}/pages", out, n_buckets=4, concurrency=2)
+    manifest = json.load(open(f"{out}/_lineage/annotations.json"))
+    assert sorted(manifest["generations"]) == ["g0"]
+    assert os.path.isdir(f"{out}/mentions/g0/bucket=1")
+    after = _mention_and_triple_keys(out)
+    assert manifest["rows"] == len(after[0]) and manifest["triple_rows"] == len(after[1])
+    assert after == before
+
+
+def test_resume_discards_partial_and_stale_buckets(kg_result):
+    """Bucket files no recorded generation owns must be discarded, not
+    silently trusted: a stray file in a bucket dir (a block split the
+    rerun will not repeat) and a generation whose manifest carries a stale
+    fingerprint (an older config).  The rerun sweeps both and rebuilds,
+    and appends no duplicate row."""
+    corpus, out, _ = kg_result
+    before = _mention_and_triple_keys(out)
+    path = f"{out}/_lineage/annotations.json"
+    manifest = json.load(open(path))
+    fp = manifest["fingerprint"]
+    with open(path, "w") as f:
+        json.dump({**manifest, "fingerprint": "stale-fingerprint"}, f)
     bucket_dir = f"{out}/mentions/g0/bucket=2"
     stray = os.path.join(bucket_dir, "0123456789abcdef-0.parquet")
     shutil.copy(os.path.join(bucket_dir, sorted(os.listdir(bucket_dir))[0]), stray)
     run_kg(f"{corpus}/pages", out, n_buckets=4, concurrency=2)
-    manifest = json.load(open(f"{out}/_lineage/annotations.json"))
-    assert sorted(manifest["generations"]) == ["g0"]
+    manifest = json.load(open(path))
+    assert manifest["fingerprint"] == fp and sorted(manifest["generations"]) == ["g0"]
     assert not os.path.exists(stray)
-    assert os.path.isdir(f"{out}/mentions/g0/bucket=1")
-    after = key("mentions", mention_cols), key("triples", triple_cols)
+    after = _mention_and_triple_keys(out)
     assert manifest["rows"] == len(after[0]) and manifest["triple_rows"] == len(after[1])
     assert after == before  # no loss, no duplication
 

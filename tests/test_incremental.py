@@ -859,16 +859,11 @@ def test_crash_before_graph_manifest_resumes_to_a_clean_build(
     _assert_equal_outputs(out, tail_full)
 
 
-def test_crash_at_the_annotations_manifest_redoes_only_the_new_generation(
-    tail_parts, tail_full, tmp_path_factory, monkeypatch
-):
-    """An append that crashed at its annotations manifest write, after the
-    execution wrote the new generation's table and partial files, leaves
-    the manifest recording only the earlier generation.  Strays planted in
-    the new generation stand for files of a block split the rerun will not
-    repeat.  The resume keeps every file of ``g0``, sweeps and rewrites
-    ``g1``'s, folds no row twice, and every column equals a clean build's."""
-    base = str(tmp_path_factory.mktemp("annotate_crash"))
+def _crash_at_the_annotations_manifest(tail_parts, tmp_path_factory, monkeypatch, name):
+    """Build ``g0``, grow the pages, and crash the append at its
+    annotations manifest write, after its one execution wrote ``g1``'s
+    table and partial files.  Returns ``(pages, out)``."""
+    base = str(tmp_path_factory.mktemp(name))
     pages, out = os.path.join(base, "pages"), os.path.join(base, "out")
     _grow(pages, tail_parts[0])
     run_kg(pages, out, **_tail_kwargs())
@@ -886,6 +881,19 @@ def test_crash_at_the_annotations_manifest_redoes_only_the_new_generation(
         run_kg(pages, out, **_tail_kwargs())
     monkeypatch.setattr(lineage, "write_manifest", real)
     assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0"]
+    return pages, out
+
+
+def test_crashed_explode_leaves_no_partial_file_behind(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """An explode that crashed before its manifest leaves the table and
+    partial files of an unrecorded generation, here including ones from a
+    block split the rerun will not repeat.  The rerun sweeps them, so no
+    row is read or folded twice."""
+    pages, out = _crash_at_the_annotations_manifest(
+        tail_parts, tmp_path_factory, monkeypatch, "explode_crash"
+    )
     gen_dir = f"{out}/graph_partials/mentions/g1"
     left = sorted(os.listdir(gen_dir))
     assert left
@@ -895,23 +903,42 @@ def test_crash_at_the_annotations_manifest_redoes_only_the_new_generation(
     assert os.path.basename(bucket_dir).startswith("bucket=")
     table_stray = os.path.join(bucket_dir, "0123456789abcdef-0.parquet")
     shutil.copy(os.path.join(bucket_dir, sorted(os.listdir(bucket_dir))[0]), table_stray)
-    g0, g1 = _gen_files(out, "g0"), _gen_files(out, "g1")
 
     run_kg(pages, out, **_tail_kwargs())
     assert not os.path.exists(stray) and not os.path.exists(table_stray)
-    assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0", "g1"]
-    assert _gen_files(out, "g0") == g0
-    redone = _gen_files(out, "g1")
-    assert redone and min(redone.values()) > max(g1.values())
+    recorded = lineage.load_manifest(out, "annotations")["generations"]
     for root in ("mentions", "triples", "graph_partials/mentions", "graph_partials/triples"):
-        assert sorted(os.listdir(f"{out}/{root}")) == ["g0", "g1"], root
-    for table in ("mentions", "triples"):
-        got, want = _sorted_table(out, table), _sorted_table(tail_full, table)
-        assert got.num_rows and got.equals(want), table
+        assert sorted(os.listdir(f"{out}/{root}")) == sorted(recorded) == ["g0", "g1"], root
     graph = lineage.load_manifest(out, "graph")
     assert graph["partial_rows"] == {
         "surfaces": _partial_rows(out, "mentions"), "triples": _partial_rows(out, "triples"),
     }
+    _assert_equal_outputs(out, tail_full)
+
+
+def test_crash_between_the_explode_manifests_redoes_the_generation(
+    tail_parts, tail_full, tmp_path_factory, monkeypatch
+):
+    """Both explodes of a generation are recorded by one manifest, the
+    annotations manifest, so the window between them is a crash before it:
+    the append's generation is written for both tables and recorded for
+    none.  The resume redoes it: it rewrites every table and partial file
+    of ``g1``, keeps every file of ``g0``, and every column equals a clean
+    build's."""
+    pages, out = _crash_at_the_annotations_manifest(
+        tail_parts, tmp_path_factory, monkeypatch, "explode_manifest_crash"
+    )
+    g0, g1 = _gen_files(out, "g0"), _gen_files(out, "g1")
+
+    run_kg(pages, out, **_tail_kwargs())
+    assert sorted(lineage.load_manifest(out, "annotations")["generations"]) == ["g0", "g1"]
+    assert _gen_files(out, "g0") == g0
+    redone = _gen_files(out, "g1")
+    assert sorted(redone) == sorted(g1)
+    assert min(redone.values()) > max(g1.values())
+    for table in ("mentions", "triples"):
+        got, want = _sorted_table(out, table), _sorted_table(tail_full, table)
+        assert got.num_rows and got.equals(want), table
     _assert_equal_outputs(out, tail_full)
 
 
